@@ -31,6 +31,10 @@ from .utils import cumulative_weights
 from .vectors import Vector
 
 
+#: Memo-miss sentinel (``None`` is a legitimate sampled value).
+_MISSING = object()
+
+
 class Sample:
     """One joint sample of the random DAG: an RNG plus a memo table.
 
@@ -78,19 +82,57 @@ def needs_sampling(value: Any) -> bool:
     return False
 
 
+#: How :func:`concretize` resolves a value, decided once per type.
+_LEAF, _DISTRIBUTION, _HOOK, _TUPLE, _LIST, _DICT = range(6)
+_CONCRETIZE_KINDS: Dict[type, int] = {}
+
+
+def _concretize_kind(value_type: type) -> int:
+    """Classify *value_type* for :func:`concretize` and cache the answer.
+
+    The ``_concretize`` hook is looked up on the class, as Python looks up
+    special methods, so every value of a type takes the same branch.
+    """
+    if issubclass(value_type, Distribution):
+        kind = _DISTRIBUTION
+    elif hasattr(value_type, "_concretize"):
+        kind = _HOOK
+    elif issubclass(value_type, tuple):
+        kind = _TUPLE
+    elif issubclass(value_type, list):
+        kind = _LIST
+    elif issubclass(value_type, dict):
+        kind = _DICT
+    else:
+        kind = _LEAF
+    _CONCRETIZE_KINDS[value_type] = kind
+    return kind
+
+
 def concretize(value: Any, sample: Sample) -> Any:
     """Resolve *value* to a concrete (non-random) value under *sample*."""
-    if isinstance(value, Distribution):
+    kind = _CONCRETIZE_KINDS.get(type(value))
+    if kind is None:
+        kind = _concretize_kind(type(value))
+    if kind == _LEAF:
+        return value
+    if kind == _DISTRIBUTION:
         return value.sample_in(sample)
-    if hasattr(value, "_concretize"):
+    if kind == _HOOK:
         return value._concretize(sample)
-    if isinstance(value, tuple):
+    if kind == _TUPLE:
         return tuple(concretize(item, sample) for item in value)
-    if isinstance(value, list):
+    if kind == _LIST:
         return [concretize(item, sample) for item in value]
-    if isinstance(value, dict):
-        return {key: concretize(item, sample) for key, item in value.items()}
-    return value
+    return {key: concretize(item, sample) for key, item in value.items()}
+
+
+def is_constant(value: Any) -> bool:
+    """True iff :func:`concretize` returns *value* itself, drawing nothing."""
+    kind = _CONCRETIZE_KINDS.get(type(value))
+    if kind is None:
+        kind = _concretize_kind(type(value))
+    return kind == _LEAF
 
 
 def supporting_interval(value: Any) -> Tuple[Optional[float], Optional[float]]:
@@ -116,8 +158,9 @@ class Distribution:
     # -- sampling --------------------------------------------------------------
 
     def sample_in(self, sample: Sample) -> Any:
-        if sample.has_value_for(self):
-            return sample.value_for(self)
+        value = sample._values.get(id(self), _MISSING)
+        if value is not _MISSING:
+            return value
         dependency_values = [concretize(dep, sample) for dep in self._dependencies]
         value = self.sample_given(dependency_values, sample.rng)
         sample.set_value_for(self, value)

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..geometry.polygon import Polygon
 from .context import register_object
-from .distributions import Sample, concretize, needs_sampling
+from .distributions import _MISSING, Sample, concretize, is_constant, needs_sampling
 from .errors import ScenicError
 from .specifiers import Specifier, With, resolve_specifiers
 from .utils import normalize_angle
@@ -81,9 +81,15 @@ class Constructible:
         self._validate()
         self._register_if_physical()
 
+    #: Names of the properties :meth:`_concretize` must resolve (the others
+    #: are plain constants), in property order; built on first use and
+    #: dropped whenever a property is assigned.
+    _varying_properties: Optional[List[str]] = None
+
     def _assign_property(self, name: str, value: Any) -> None:
         self.properties[name] = value
         object.__setattr__(self, name, value)
+        self._varying_properties = None
 
     def _validate(self) -> None:
         """Subclasses may check property consistency here."""
@@ -103,11 +109,19 @@ class Constructible:
         several places (e.g. by requirements and by other objects' specifiers)
         has a single concrete incarnation per scene.
         """
-        if sample.has_value_for(self):
-            return sample.value_for(self)
-        concrete_properties = {
-            name: concretize(value, sample) for name, value in self.properties.items()
-        }
+        concrete = sample._values.get(id(self), _MISSING)
+        if concrete is not _MISSING:
+            return concrete
+        properties = self.properties
+        varying = self._varying_properties
+        if varying is None:
+            varying = [name for name, value in properties.items() if not is_constant(value)]
+            self._varying_properties = varying
+        # Constants draw nothing, so resolving only the varying properties (in
+        # property order) keeps the RNG draw order; the copy keeps key order.
+        concrete_properties = dict(properties)
+        for name in varying:
+            concrete_properties[name] = concretize(properties[name], sample)
         concrete = type(self)._make(**concrete_properties)
         concrete._source_object = self
         sample.set_value_for(self, concrete)
@@ -217,13 +231,15 @@ class Object(OrientedPoint):
         heading = float(self.heading)
         half_w = float(self.width) / 2.0
         half_h = float(self.height) / 2.0
-        offsets = [
-            Vector(half_w, half_h),
-            Vector(-half_w, half_h),
-            Vector(-half_w, -half_h),
-            Vector(half_w, -half_h),
+        # position + offset.rotated_by(heading) for each corner offset, on floats.
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
+        x, y = position.x, position.y
+        return [
+            Vector(x + (dx * cos_h - dy * sin_h), y + (dx * sin_h + dy * cos_h))
+            for dx, dy in (
+                (half_w, half_h), (-half_w, half_h), (-half_w, -half_h), (half_w, -half_h)
+            )
         ]
-        return [position + offset.rotated_by(heading) for offset in offsets]
 
     @property
     def bounding_polygon(self) -> Polygon:

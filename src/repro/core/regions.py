@@ -89,10 +89,11 @@ class Region:
         if not all(self.contains_point(corner) for corner in corners):
             return False
         count = len(corners)
-        return all(
-            self.contains_point((corners[i] + corners[(i + 1) % count]) / 2)
-            for i in range(count)
-        )
+        for i in range(count):
+            a, b = corners[i], corners[(i + 1) % count]
+            if not self.contains_point(Vector((a.x + b.x) / 2, (a.y + b.y) / 2)):
+                return False
+        return True
 
     # -- sampling ---------------------------------------------------------------
 
@@ -298,8 +299,15 @@ class RectangularRegion(Region):
         self.polygon = Polygon.rectangle(self.center, self.width, self.height, self.heading)
 
     def contains_point(self, point: VectorLike) -> bool:
-        local = (Vector.from_any(point) - self.center).rotated_by(-self.heading)
-        return abs(local.x) <= self.width / 2 + 1e-9 and abs(local.y) <= self.height / 2 + 1e-9
+        # (point - center).rotated_by(-heading), on floats.
+        point = Vector.from_any(point)
+        dx = point.x - self.center.x
+        dy = point.y - self.center.y
+        cos_a, sin_a = math.cos(-self.heading), math.sin(-self.heading)
+        return (
+            abs(dx * cos_a - dy * sin_a) <= self.width / 2 + 1e-9
+            and abs(dx * sin_a + dy * cos_a) <= self.height / 2 + 1e-9
+        )
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
         pts = _kernel.as_points(points)

@@ -155,6 +155,10 @@ class Vector:
     def __hash__(self) -> int:
         return hash((self.x, self.y))
 
+    def __reduce__(self):
+        # Immutable: rebuild through the constructor (pickle, copy, deepcopy).
+        return (Vector, (self.x, self.y))
+
     def __repr__(self) -> str:
         return f"Vector({self.x:g}, {self.y:g})"
 

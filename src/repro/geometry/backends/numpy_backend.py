@@ -27,9 +27,10 @@ class NumpyBackend(KernelBackend):
     def points_in_polygon(self, vertices: Any, points: Any) -> np.ndarray:
         """Vectorized ray casting; boundary points count as inside.
 
-        A faithful replication of :func:`repro.geometry.polygon.point_in_polygon`
-        (same operations in the same order), evaluated for all points at once
-        with one numpy pass per polygon edge.
+        The scalar reference, :func:`repro.geometry.polygon.point_in_polygon`
+        (the edge-table loop behind every ``Polygon.contains_point``), evaluated
+        for all points at once with one numpy pass per polygon edge that
+        mirrors the edge table's on-edge and ray-crossing expressions.
         """
         from ..kernel import as_points
 
@@ -43,7 +44,7 @@ class NumpyBackend(KernelBackend):
         for i in range(count):
             xi, yi = vertices[i]
             xj, yj = vertices[j]
-            # Boundary check (scalar `_point_on_segment` with a=v_i, b=v_j).
+            # Boundary check (the edge table's on-edge test, a=v_i, b=v_j).
             edge_x, edge_y = xj - xi, yj - yi
             length_sq = edge_x * edge_x + edge_y * edge_y
             tolerance = 1e-9 * max(1.0, float(np.hypot(edge_x, edge_y)))

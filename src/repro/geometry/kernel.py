@@ -140,10 +140,10 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Vectorized ray casting; boundary points count as inside.
 
     Dispatches to the active backend.  The numpy reference implementation
-    (:class:`~repro.geometry.backends.numpy_backend.NumpyBackend`) is a
-    faithful replication of :func:`repro.geometry.polygon.point_in_polygon`
-    — same operations in the same order, evaluated for all points at once
-    with one numpy pass per polygon edge.
+    (:class:`~repro.geometry.backends.numpy_backend.NumpyBackend`) evaluates
+    the scalar reference, :func:`repro.geometry.polygon.point_in_polygon`
+    (the edge-table loop behind every ``Polygon.contains_point``), for all
+    points at once with one numpy pass per polygon edge.
     """
     from . import backends
 

@@ -13,6 +13,7 @@ vertices in order (either orientation).  The runtime uses polygons for
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.vectors import Vector, VectorLike
@@ -141,37 +142,90 @@ def segments_intersect(
     return False
 
 
-def point_in_polygon(point: VectorLike, vertices: Sequence[Vector]) -> bool:
-    """Ray-casting containment test; boundary points count as inside."""
-    point = Vector.from_any(point)
-    count = len(vertices)
-    inside = False
-    j = count - 1
-    for i in range(count):
-        vi, vj = vertices[i], vertices[j]
-        # Boundary check: point exactly on edge vi-vj.
-        if _point_on_segment(point, vi, vj):
-            return True
-        if (vi.y > point.y) != (vj.y > point.y):
-            slope_x = vj.x + (point.y - vj.y) * (vi.x - vj.x) / (vi.y - vj.y)
-            if point.x < slope_x:
-                inside = not inside
+#: Boundary tolerance of the containment test: a point within about this
+#: distance of an edge (relative to the edge length for edges longer than 1)
+#: counts as inside.
+_ON_EDGE_TOLERANCE = 1e-9
+
+#: Lock taken only while a polygon's edge table is first built, so a region
+#: shared by sampling threads builds each table once.
+_EDGE_TABLE_LOCK = threading.Lock()
+
+
+def _edge_table(vertices: Sequence[Vector]) -> Tuple[float, float, float, float, tuple]:
+    """The float table :func:`_contains` scans: a reject box plus one row per edge.
+
+    Edge ``i`` joins ``a = vertices[i]`` to ``b = vertices[i - 1]``; its row is
+    ``(ax, ay, bx, by, dx, dy, threshold, limit, ex, ey)`` with ``d = b - a``,
+    ``e = a - b``, the on-edge cross-product ``threshold`` and the dot-product
+    ``limit`` (squared length plus tolerance), each computed with exactly the
+    expression the containment test has always used, so verdicts are
+    bit-identical.
+
+    A point on an edge of length ``L`` passes the on-edge test only within
+    ``tol * max(1, L) / L`` of the edge's line and ``tol / L`` past its ends,
+    and a point beyond the vertices' bounding box crosses an even number of
+    edges.  The reject box is the bounding box padded by twice the largest
+    such distance plus 64 ulps of the largest coordinate (which covers the
+    rounding of the ray-crossing abscissa), so rejecting outside it never
+    changes a verdict.  A zero-length edge accepts every point, so it turns
+    the reject box off.
+    """
+    tolerance = _ON_EDGE_TOLERANCE
+    rows = []
+    reach = 0.0
+    j = len(vertices) - 1
+    for i in range(len(vertices)):
+        ax, ay = vertices[i].x, vertices[i].y
+        bx, by = vertices[j].x, vertices[j].y
+        dx, dy = bx - ax, by - ay
+        length = math.hypot(ax - bx, ay - by)
+        threshold = tolerance * max(1.0, length)
+        rows.append(
+            (ax, ay, bx, by, dx, dy, threshold, dx ** 2 + dy ** 2 + tolerance, ax - bx, ay - by)
+        )
+        reach = max(reach, (threshold + tolerance) / length if length > 0 else math.inf)
         j = i
+    xs = [vertex.x for vertex in vertices]
+    ys = [vertex.y for vertex in vertices]
+    min_x, min_y, max_x, max_y = min(xs), min(ys), max(xs), max(ys)
+    margin = 2.0 * reach + 64.0 * math.ulp(max(-min_x, -min_y, max_x, max_y))
+    return (min_x - margin, min_y - margin, max_x + margin, max_y + margin, tuple(rows))
+
+
+def _contains(px: float, py: float, table: tuple) -> bool:
+    """Ray-casting containment of ``(px, py)``; boundary points count as inside."""
+    min_x, min_y, max_x, max_y, rows = table
+    if px < min_x or px > max_x or py < min_y or py > max_y:
+        return False
+    low = -_ON_EDGE_TOLERANCE
+    inside = False
+    for ax, ay, bx, by, dx, dy, threshold, limit, ex, ey in rows:
+        rx = px - ax
+        ry = py - ay
+        # Boundary check: point on the edge, within tolerance.
+        if not abs(dx * ry - dy * rx) > threshold and low <= rx * dx + ry * dy <= limit:
+            return True
+        if (ay > py) != (by > py) and px < bx + (py - by) * ex / ey:
+            inside = not inside
     return inside
 
 
-def _point_on_segment(point: Vector, a: Vector, b: Vector, tolerance: float = 1e-9) -> bool:
-    cross = (b.x - a.x) * (point.y - a.y) - (b.y - a.y) * (point.x - a.x)
-    if abs(cross) > tolerance * max(1.0, a.distance_to(b)):
-        return False
-    dot = (point.x - a.x) * (b.x - a.x) + (point.y - a.y) * (b.y - a.y)
-    return -tolerance <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + tolerance
+def point_in_polygon(point: VectorLike, vertices: Sequence[Vector]) -> bool:
+    """Ray-casting containment test; boundary points count as inside.
+
+    The scalar reference every containment path agrees with.  A
+    :class:`Polygon` caches its edge table, so prefer
+    :meth:`Polygon.contains_point` in loops.
+    """
+    point = Vector.from_any(point)
+    return _contains(point.x, point.y, _edge_table(vertices))
 
 
 class Polygon:
     """A simple polygon, stored with anticlockwise vertex order."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_table")
 
     def __init__(self, vertices: Sequence[VectorLike]):
         points = [Vector.from_any(v) for v in vertices]
@@ -180,6 +234,15 @@ class Polygon:
         if _signed_area(points) < 0:
             points = list(reversed(points))
         self.vertices: Tuple[Vector, ...] = tuple(points)
+        self._table: Optional[tuple] = None
+
+    def __getstate__(self) -> Tuple[Vector, ...]:
+        # The edge table is a cache: pickles and copies carry the vertices only.
+        return self.vertices
+
+    def __setstate__(self, vertices: Tuple[Vector, ...]) -> None:
+        self.vertices = vertices
+        self._table = None
 
     # -- basic measures --------------------------------------------------------
 
@@ -223,7 +286,16 @@ class Polygon:
     # -- predicates ------------------------------------------------------------
 
     def contains_point(self, point: VectorLike) -> bool:
-        return point_in_polygon(point, self.vertices)
+        table = self._table
+        if table is None:
+            with _EDGE_TABLE_LOCK:
+                if self._table is None:
+                    # Published in one assignment, complete.
+                    self._table = _edge_table(self.vertices)
+            table = self._table
+        if type(point) is not Vector:
+            point = Vector.from_any(point)
+        return _contains(point.x, point.y, table)
 
     def contains_polygon(self, other: "Polygon") -> bool:
         """Conservative containment: all of *other*'s vertices inside and no edge crossings."""

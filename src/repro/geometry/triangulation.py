@@ -27,7 +27,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.vectors import Vector, VectorLike
-from .polygon import Polygon, point_in_polygon
+from .polygon import Polygon
 
 Triangle = Tuple[Vector, Vector, Vector]
 

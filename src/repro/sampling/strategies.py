@@ -78,9 +78,12 @@ from .stats import AggregateStats
 # ---------------------------------------------------------------------------
 
 
-#: Below these sizes the scalar loops win: numpy call overhead outweighs the
-#: vectorization for one or two objects / a handful of pairs.
-_KERNEL_MIN_OBJECTS = 3
+#: Below these sizes the scalar loops win.  Containment break-even, per
+#: rejection-sampling candidate over the bounded example workspaces: the
+#: scalar loop (float edge tables, early exit at the first object outside)
+#: wins on every scene of up to 11 objects, the batch kernel from 13
+#: (docs/geometry.md); collisions: a handful of pairs.
+_KERNEL_MIN_OBJECTS = 12
 _KERNEL_MIN_COLLIDERS = 4
 
 
@@ -90,9 +93,10 @@ def contained_in_workspace(
     """Every object inside the workspace (counts a containment rejection).
 
     Large scenes batch all objects' test points through the geometry kernel
-    (one vectorized containment query instead of ``8 * n`` scalar ones);
-    regions with custom ``contains_object`` semantics and small scenes take
-    the scalar path.  Accept/reject decisions are identical either way.
+    (one vectorized containment query instead of up to ``8 * n`` scalar
+    ones); regions with custom ``contains_object`` semantics and scenes
+    below ``_KERNEL_MIN_OBJECTS`` take the scalar path, which stops at the
+    first object outside.  Accept/reject decisions are identical either way.
     *kernel* pins a specific :class:`~repro.geometry.backends.KernelBackend`;
     ``None`` uses the process-global active one.
     """

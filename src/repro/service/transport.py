@@ -58,17 +58,6 @@ DEFAULT_SHM_THRESHOLD = 32_768
 _ALIGN = 8
 
 
-def _json_safe(value: Any) -> Any:
-    """JSON-encodable view of a params value (mirrors protocol._json_safe)."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _json_safe(item) for key, item in value.items()}
-    return repr(value)
-
-
 @dataclass
 class SceneBlock:
     """A shard's scenes as structured column arrays plus a ragged index."""
@@ -97,6 +86,7 @@ class SceneBlock:
         and only the (rare) ``param`` dicts pay a JSON encode.
         """
         from ..core.vectors import Vector
+        from .protocol import _json_safe  # deferred: protocol imports this module
 
         scene_count = len(scenes)
         obj_offsets = np.zeros(scene_count + 1, dtype=np.int64)

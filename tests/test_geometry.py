@@ -1,11 +1,20 @@
 """Unit tests for the geometry substrate: polygons, triangulation, morphology."""
 
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.regions import PolygonalRegion
 from repro.core.vectors import Vector
+from repro.geometry import polygon as polygon_module
 from repro.geometry.morphology import dilate_polygon, erode_polygon, minimum_width
 from repro.geometry.polygon import (
     BoundingBox,
@@ -121,6 +130,203 @@ class TestPolygon:
         # After rotating to face West, the long axis lies along x.
         assert rotated.contains_point((1.9, 0.9))
         assert not rotated.contains_point((0.9, 1.9))
+
+
+# -- containment: the edge table against the Vector-loop reference -----------
+
+
+def _reference_point_in_polygon(point, vertices):
+    """Ray-casting containment test; boundary points count as inside.
+
+    The Vector-loop implementation the edge-table containment replaced,
+    kept verbatim as the oracle.
+    """
+    point = Vector.from_any(point)
+    count = len(vertices)
+    inside = False
+    j = count - 1
+    for i in range(count):
+        vi, vj = vertices[i], vertices[j]
+        # Boundary check: point exactly on edge vi-vj.
+        if _reference_point_on_segment(point, vi, vj):
+            return True
+        if (vi.y > point.y) != (vj.y > point.y):
+            slope_x = vj.x + (point.y - vj.y) * (vi.x - vj.x) / (vi.y - vj.y)
+            if point.x < slope_x:
+                inside = not inside
+        j = i
+    return inside
+
+
+def _reference_point_on_segment(point, a, b, tolerance=1e-9):
+    cross = (b.x - a.x) * (point.y - a.y) - (b.y - a.y) * (point.x - a.x)
+    if abs(cross) > tolerance * max(1.0, a.distance_to(b)):
+        return False
+    dot = (point.x - a.x) * (b.x - a.x) + (point.y - a.y) * (b.y - a.y)
+    return -tolerance <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + tolerance
+
+
+def _random_polygon(rng):
+    """Random vertex rings: convex and not, tiny to large, far from the origin."""
+    count = rng.randint(3, 9)
+    scale = rng.choice([1e-3, 0.1, 1.0, 40.0, 2e3])
+    origin = rng.choice([0.0, 17.25, -1e3, 2.5e5])
+    if rng.random() < 0.5:
+        # Star-shaped about the origin: simple, often concave.
+        angles = sorted(rng.uniform(0, math.tau) for _ in range(count))
+        vertices = [
+            (origin + scale * rng.uniform(0.2, 1) * math.cos(t),
+             origin + scale * rng.uniform(0.2, 1) * math.sin(t))
+            for t in angles
+        ]
+    else:
+        vertices = [
+            (origin + scale * rng.uniform(-1, 1), origin + scale * rng.uniform(-1, 1))
+            for _ in range(count)
+        ]
+    if rng.random() < 0.3:
+        # An edge shorter than 1e-3 (sometimes far shorter).
+        x, y = vertices[0]
+        short = rng.choice([5e-4, 1e-6, 1e-9])
+        vertices.insert(1, (x + short * rng.uniform(-1, 1), y + short * rng.uniform(-1, 1)))
+    return Polygon(vertices)
+
+
+def _probe_points(polygon, rng):
+    """Vertices, edge points, their float neighbours and overshoots, and noise."""
+    probes = []
+    for vertex in polygon.vertices:
+        for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+            x = math.nextafter(vertex.x, dx * math.inf) if dx else vertex.x
+            y = math.nextafter(vertex.y, dy * math.inf) if dy else vertex.y
+            probes.append((x, y))
+    for a, b in polygon.edges():
+        for t in (0.0, 0.5, rng.random(), 1.0):
+            x, y = a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t
+            probes.append((x, y))
+            probes.append((math.nextafter(x, math.inf), y))
+            probes.append((x, math.nextafter(y, -math.inf)))
+            for overshoot in (-1e-10, 1e-10):
+                probes.append((x + overshoot, y))
+                probes.append((x, y + overshoot))
+    box = polygon.bounding_box()
+    pad_x, pad_y = 0.25 * box.width + 1e-9, 0.25 * box.height + 1e-9
+    for _ in range(40):
+        probes.append((
+            rng.uniform(box.min_x - pad_x, box.max_x + pad_x),
+            rng.uniform(box.min_y - pad_y, box.max_y + pad_y),
+        ))
+    return probes
+
+
+class TestContainmentEquivalence:
+    def test_edge_table_matches_the_vector_loop(self):
+        rng = random.Random(20190622)
+        polygons = [_random_polygon(rng) for _ in range(400)]
+        polygons += [
+            Polygon.rectangle((3.0, -2.0), 2.0, 4.5, heading=0.7),
+            Polygon([(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)]),  # zero-length edge
+            Polygon([(0, 0), (1e-4, 0), (1e-4, 2e-4), (0, 2e-4)]),
+        ]
+        checked, mismatches = 0, []
+        for polygon in polygons:
+            for point in _probe_points(polygon, rng):
+                expected = _reference_point_in_polygon(point, polygon.vertices)
+                checked += 1
+                if polygon.contains_point(point) != expected:
+                    mismatches.append((polygon, point, "contains_point"))
+                if point_in_polygon(point, polygon.vertices) != expected:
+                    mismatches.append((polygon, point, "point_in_polygon"))
+        assert checked > 90_000
+        assert mismatches == []
+
+    def test_zero_length_edge_accepts_everything_as_before(self):
+        # The reference treats every point as "on" a zero-length edge; the
+        # bounding-box reject must not hide that.
+        degenerate = Polygon([(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)])
+        assert _reference_point_in_polygon((50.0, -7.0), degenerate.vertices)
+        assert degenerate.contains_point((50.0, -7.0))
+
+    def test_batch_agrees_with_scalar_on_gallery_workspaces(self):
+        from repro.language import scenario_from_file
+
+        scenarios = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+        rng = random.Random(7)
+        for stem in ("crossing_traffic", "mars_bottleneck", "warehouse_picking"):
+            region = scenario_from_file(scenarios / f"{stem}.scenic").workspace.region
+            box = region.bounding_box()
+            points = [
+                (rng.uniform(box.min_x - 1, box.max_x + 1), rng.uniform(box.min_y - 1, box.max_y + 1))
+                for _ in range(2000)
+            ]
+            for piece in getattr(region, "polygons", [getattr(region, "polygon", None)]):
+                points += [(v.x, v.y) for v in piece.vertices]
+                points += [((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in piece.edges()]
+            scalar = np.array([region.contains_point(point) for point in points])
+            batch = region.contains_points_batch(np.array(points))
+            assert scalar.any() and not scalar.all(), stem
+            assert np.array_equal(batch, scalar), stem
+
+
+class TestPolygonEdgeTableCache:
+    def test_cache_is_ignored_by_equality_and_hash(self):
+        used = Polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        unused = Polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        assert used.contains_point((1, 1))
+        assert used == unused
+        assert hash(used) == hash(unused)
+        assert len({used, unused}) == 1
+
+    def test_pickles_and_copies_without_the_cache(self):
+        # The cache is never carried along; a clone builds its own on first use.
+        polygon = Polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        assert polygon.contains_point((2, 2))
+        for clone in (pickle.loads(pickle.dumps(polygon)), copy.deepcopy(polygon), copy.copy(polygon)):
+            assert clone == polygon
+            assert clone._table is None
+            assert clone.contains_point((2, 2)) and not clone.contains_point((5, 2))
+        assert len(pickle.dumps(polygon)) == len(pickle.dumps(Polygon(polygon.vertices)))
+
+    def test_tables_are_built_once_when_threads_share_a_region(self, monkeypatch):
+        # The parallel strategy shares one workspace region across threads.
+        builds = []
+        build = polygon_module._edge_table
+
+        def slow_build(vertices):
+            builds.append(vertices)
+            time.sleep(0.005)  # releases the GIL mid-build: the others pile up
+            return build(vertices)
+
+        monkeypatch.setattr(polygon_module, "_edge_table", slow_build)
+        pieces = [
+            Polygon([(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]) for i in range(3) for j in range(3)
+        ]
+        shared = PolygonalRegion(pieces)
+        probes = [(x / 4, y / 4) for x in range(-1, 14) for y in range(-1, 14)]
+        start = threading.Barrier(8)
+        results = []
+
+        def worker():
+            start.wait()
+            results.append([shared.contains_point(point) for point in probes])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(map(id, builds)) == sorted(id(piece.vertices) for piece in pieces)
+        assert len(results) == 8 and all(result == results[0] for result in results)
+        assert results[0] == [
+            any(_reference_point_in_polygon(point, piece.vertices) for piece in pieces)
+            for point in probes
+        ]
 
 
 class TestConvexHullAndClipping:

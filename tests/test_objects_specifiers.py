@@ -187,6 +187,25 @@ class TestObjectGeometry:
         assert any(corner.is_close_to(Vector(1, 2)) for corner in corners)
         assert scenic_object.bounding_polygon.area == pytest.approx(8.0)
 
+    def test_corners_match_the_vector_expression(self, rng):
+        # Reference: the Vector arithmetic the float path replaced, verbatim.
+        for _ in range(50):
+            scenic_object = Object(
+                At((rng.uniform(-100, 100), rng.uniform(-100, 100))),
+                Facing(rng.uniform(-4, 4)),
+                width=rng.uniform(0.1, 5), height=rng.uniform(0.1, 5),
+            )
+            position = Vector.from_any(scenic_object.position)
+            half_w, half_h = scenic_object.width / 2.0, scenic_object.height / 2.0
+            offsets = [
+                Vector(half_w, half_h),
+                Vector(-half_w, half_h),
+                Vector(-half_w, -half_h),
+                Vector(half_w, -half_h),
+            ]
+            expected = [position + offset.rotated_by(scenic_object.heading) for offset in offsets]
+            assert [c.to_tuple() for c in scenic_object.corners] == [c.to_tuple() for c in expected]
+
     def test_intersections(self):
         first = Object(At((0, 0)), Facing(0.0), width=2, height=2)
         overlapping = Object(At((1, 1)), Facing(0.0), width=2, height=2)
@@ -223,3 +242,29 @@ class TestMutation:
         concrete = scenic_object._concretize(Sample(rng))
         assert Vector.from_any(concrete.position) == Vector(5, 5)
         assert concrete.heading == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("scale", [1.0, Range(0.5, 2.0)], ids=["constant", "random"])
+    def test_mutate_after_a_draw_changes_the_next_draw(self, scale):
+        """``mutate`` after a first draw acts as if it had come before any draw.
+
+        ``_concretize`` remembers which properties are random; assigning a
+        property (the path ``mutate`` takes) must drop that memory, including
+        when a constant property becomes random.
+        """
+
+        def build():
+            return Object(At((Range(0, 10), Range(0, 10))), Facing(Range(-1, 1)))
+
+        drawn_first = build()
+        before = drawn_first._concretize(Sample(random.Random(1)))
+        drawn_first._assign_property("mutationScale", scale)
+        fresh = build()
+        fresh._assign_property("mutationScale", scale)
+
+        after = drawn_first._concretize(Sample(random.Random(2)))
+        expected = fresh._concretize(Sample(random.Random(2)))
+        assert after.properties == expected.properties
+        assert list(after.properties) == list(expected.properties)
+        unmutated = build()._concretize(Sample(random.Random(2)))
+        assert after.position != unmutated.position
+        assert before.mutationScale == 0.0 and after.mutationScale != 0.0

@@ -71,6 +71,26 @@ class TestBasicRegions:
         for _ in range(100):
             assert region.contains_point(region.uniform_point(rng))
 
+    def test_rectangular_region_matches_the_vector_expression(self, rng):
+        # Reference: the Vector arithmetic the float path replaced, verbatim.
+        def reference(region, point):
+            local = (Vector.from_any(point) - region.center).rotated_by(-region.heading)
+            return abs(local.x) <= region.width / 2 + 1e-9 and abs(local.y) <= region.height / 2 + 1e-9
+
+        for _ in range(50):
+            region = RectangularRegion(
+                (rng.uniform(-50, 50), rng.uniform(-50, 50)), rng.uniform(-4, 4),
+                rng.uniform(0.5, 30), rng.uniform(0.5, 30),
+            )
+            probes = []
+            for corner in region.polygon.vertices:
+                for offset in (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9):
+                    probes.append((corner.x + offset, corner.y))
+                    probes.append((corner.x, corner.y - offset))
+            probes += [region.uniform_point(rng) for _ in range(20)]
+            for point in probes:
+                assert region.contains_point(point) == reference(region, point)
+
     def test_point_set_region(self, rng):
         region = PointSetRegion([(0, 0), (1, 1), (2, 2)])
         assert region.contains_point((1, 1))

@@ -366,15 +366,17 @@ def test_http_overload_maps_to_503():
     async def run():
         service = GenerationService(workers=0, max_inflight=1, max_queue=0)
         async with HttpGenerationServer(service, port=0) as server:
-            blocker = asyncio.create_task(
-                service.generate(source, n=6, seed=3, max_iterations=20000)
-            )
-            await asyncio.sleep(0)
-            status, body = await http_request(
-                "127.0.0.1", server.port, "POST", "/generate",
-                {"source": source, "n": 1},
-            )
-            await blocker
+            # A stream holds its admission slot until it is closed, so the one
+            # inflight slot stays taken for the whole HTTP round trip.
+            blocker = service.generate_stream(source, n=1, seed=3)
+            await blocker.__anext__()
+            try:
+                status, body = await http_request(
+                    "127.0.0.1", server.port, "POST", "/generate",
+                    {"source": source, "n": 1},
+                )
+            finally:
+                await blocker.aclose()
             return status, json.loads(body)
 
     status, payload = asyncio.run(run())
