@@ -469,27 +469,34 @@ class _Analyzer:
         cached = self.facts_cache.get(class_name)
         if cached is not None:
             return cached
-        facts: Optional[ClassFacts] = None
         definition = self.class_defs.get(class_name)
         if definition is not None:
             base_name = definition.superclass or "Object"
-            facts = self._facts_for_class(base_name).copy()
+            if base_name == class_name:
+                # ``class Crate(Crate)`` extends the world's Crate, the one
+                # bound when the definition ran.
+                facts = self._facts_for_world_class(base_name)
+            else:
+                facts = self._facts_for_class(base_name).copy()
             facts.name = class_name
             self._apply_class_overrides(facts, definition)
         else:
-            python_class = self.world_namespace.get(class_name)
-            if python_class is None and class_name in NON_OBJECT_CLASSES:
-                facts = ClassFacts(name=class_name, is_scenario_object=False)
-            elif python_class is None and class_name == "Object":
-                from ..core.objects import Object
-
-                facts = _facts_from_python_class(class_name, Object, self.analysis_profiles)
-            elif python_class is not None:
-                facts = _facts_from_python_class(class_name, python_class, self.analysis_profiles)
-            else:
-                facts = ClassFacts(name=class_name)
+            facts = self._facts_for_world_class(class_name)
         self.facts_cache[class_name] = facts
         return facts
+
+    def _facts_for_world_class(self, class_name: str) -> ClassFacts:
+        """Facts for a class the program does not define itself."""
+        python_class = self.world_namespace.get(class_name)
+        if python_class is None and class_name in NON_OBJECT_CLASSES:
+            return ClassFacts(name=class_name, is_scenario_object=False)
+        if python_class is None and class_name == "Object":
+            from ..core.objects import Object
+
+            return _facts_from_python_class(class_name, Object, self.analysis_profiles)
+        if python_class is not None:
+            return _facts_from_python_class(class_name, python_class, self.analysis_profiles)
+        return ClassFacts(name=class_name)
 
     def _apply_class_overrides(self, facts: ClassFacts, definition: ast.ClassDefinition) -> None:
         for prop, expr in definition.properties:

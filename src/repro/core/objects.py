@@ -55,11 +55,34 @@ class Constructible:
         OrientedPoints produced by operators such as ``front of``.
         """
         instance = cls.__new__(cls)
-        instance.properties = dict(properties)
-        for name, value in properties.items():
-            object.__setattr__(instance, name, value)
+        instance.properties = properties  # the call's own fresh kwargs dict
+        if cls._data_descriptor_names().isdisjoint(properties):
+            instance.__dict__.update(properties)
+        else:
+            # A property or slot of the class: set it the checked way, which
+            # raises AttributeError for a read-only one.
+            for name, value in properties.items():
+                object.__setattr__(instance, name, value)
         instance._registered = False
         return instance
+
+    @classmethod
+    def _data_descriptor_names(cls) -> frozenset:
+        """Attribute names that are data descriptors (properties, slots) on the class.
+
+        Cached per class.  ``__dict__.update`` would silently shadow these,
+        where ``setattr`` calls their setter or raises.
+        """
+        names = cls.__dict__.get("_data_descriptors_cache")
+        if names is None:
+            names = frozenset(
+                name
+                for klass in cls.__mro__
+                for name, attribute in vars(klass).items()
+                if hasattr(type(attribute), "__set__") or hasattr(type(attribute), "__delete__")
+            )
+            type.__setattr__(cls, "_data_descriptors_cache", names)
+        return names
 
     # -- construction -----------------------------------------------------------
 

@@ -480,6 +480,7 @@ def prune_scenario(
         if pruned_region is not None and pruned_region.area() < region.area():
             position.region = pruned_region
             position._dependencies = (pruned_region,)
+            scenario._draw_plans = None  # compiled plans hold the old region
             report.area_after += pruned_region.area()
         else:
             report.area_after += region.area()

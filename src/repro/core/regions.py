@@ -25,7 +25,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import kernel as _kernel
-from ..geometry.polygon import BoundingBox, Polygon, polygons_intersect
+from ..geometry.polygon import BoundingBox, Polygon, _contains, polygons_intersect
 from ..geometry.spatial_index import SpatialGrid
 from ..geometry.triangulation import TriangulatedSampler, sample_point_in_triangle
 from .distributions import Distribution, needs_sampling
@@ -59,8 +59,19 @@ class Region:
 
     # -- membership -------------------------------------------------------------
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass redefining contains_point but not _contains_xy must not
+        # inherit a parent's float route that bypasses its own definition.
+        if "contains_point" in cls.__dict__ and "_contains_xy" not in cls.__dict__:
+            cls._contains_xy = Region._contains_xy
+
     def contains_point(self, point: VectorLike) -> bool:
         raise NotImplementedError
+
+    def _contains_xy(self, x: float, y: float) -> bool:
+        """``contains_point`` on plain floats; regions override it to skip the Vector."""
+        return self.contains_point(Vector(x, y))
 
     def contains_points_batch(self, points: Any) -> "np.ndarray":
         """Membership of ``N`` points at once, as a boolean array.
@@ -85,15 +96,35 @@ class Region:
         midpoints catch that case while staying exact for convex regions,
         where corner containment already implies full containment.
         """
-        corners = scenic_object.corners
-        if not all(self.contains_point(corner) for corner in corners):
-            return False
-        count = len(corners)
-        for i in range(count):
-            a, b = corners[i], corners[(i + 1) % count]
-            if not self.contains_point(Vector((a.x + b.x) / 2, (a.y + b.y) / 2)):
-                return False
-        return True
+        # The corners as Object.corners computes them, and the midpoints as
+        # (a + b) / 2, on floats; tested corners first, then midpoints.
+        position = scenic_object.position
+        if type(position) is not Vector:
+            position = Vector.from_any(position)
+        heading = float(scenic_object.heading)
+        half_w = float(scenic_object.width) / 2.0
+        half_h = float(scenic_object.height) / 2.0
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
+        x, y = position.x, position.y
+        ax = x + (half_w * cos_h - half_h * sin_h)
+        ay = y + (half_w * sin_h + half_h * cos_h)
+        bx = x + (-half_w * cos_h - half_h * sin_h)
+        by = y + (-half_w * sin_h + half_h * cos_h)
+        cx = x + (-half_w * cos_h - -half_h * sin_h)
+        cy = y + (-half_w * sin_h + -half_h * cos_h)
+        dx = x + (half_w * cos_h - -half_h * sin_h)
+        dy = y + (half_w * sin_h + -half_h * cos_h)
+        contains = self._contains_xy
+        return (
+            contains(ax, ay)
+            and contains(bx, by)
+            and contains(cx, cy)
+            and contains(dx, dy)
+            and contains((ax + bx) / 2, (ay + by) / 2)
+            and contains((bx + cx) / 2, (by + cy) / 2)
+            and contains((cx + dx) / 2, (cy + dy) / 2)
+            and contains((dx + ax) / 2, (dy + ay) / 2)
+        )
 
     # -- sampling ---------------------------------------------------------------
 
@@ -299,10 +330,13 @@ class RectangularRegion(Region):
         self.polygon = Polygon.rectangle(self.center, self.width, self.height, self.heading)
 
     def contains_point(self, point: VectorLike) -> bool:
-        # (point - center).rotated_by(-heading), on floats.
         point = Vector.from_any(point)
-        dx = point.x - self.center.x
-        dy = point.y - self.center.y
+        return self._contains_xy(point.x, point.y)
+
+    def _contains_xy(self, x: float, y: float) -> bool:
+        # (point - center).rotated_by(-heading), on floats.
+        dx = x - self.center.x
+        dy = y - self.center.y
         cos_a, sin_a = math.cos(-self.heading), math.sin(-self.heading)
         return (
             abs(dx * cos_a - dy * sin_a) <= self.width / 2 + 1e-9
@@ -391,18 +425,27 @@ class PolygonalRegion(Region):
         return self._vertex_arrays, self._boxes
 
     def contains_point(self, point: VectorLike) -> bool:
-        if len(self.polygons) >= self._GRID_MIN_POLYGONS:
+        point = Vector.from_any(point)
+        return self._contains_xy(point.x, point.y)
+
+    def _contains_xy(self, x: float, y: float) -> bool:
+        polygons = self.polygons
+        if len(polygons) >= self._GRID_MIN_POLYGONS:
             # Large unions (road maps) test only the pieces whose grid cell
             # covers the point.  The grid over-approximates (padded bounding
             # boxes), so the boolean verdict is identical to the linear scan.
             self._batch_tables()
             if self._grid is not None:
-                point = Vector.from_any(point)
-                return any(
-                    self.polygons[index].contains_point(point)
-                    for index in self._grid.bucket_for_point(point.x, point.y)
-                )
-        return any(polygon.contains_point(point) for polygon in self.polygons)
+                for index in self._grid.bucket_for_point(x, y):
+                    polygon = polygons[index]
+                    if _contains(x, y, polygon._table or polygon.edge_table()):
+                        return True
+                return False
+        for polygon in polygons:
+            # The piece's edge table, read directly once built.
+            if _contains(x, y, polygon._table or polygon.edge_table()):
+                return True
+        return False
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
         pts = _kernel.as_points(points)

@@ -101,6 +101,18 @@ class Scenario:
         #: artifact's cached static-analysis bounds without a cache lookup.
         self.compiled_artifact: Optional[Any] = None
 
+    #: Compiled draw plans by preset-node set (see
+    #: :func:`repro.sampling.dependency.draw_plan`); replaced whole, never
+    #: mutated, and dropped from pickles and copies.
+    _draw_plans: Optional[Dict[frozenset, Any]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A plan is keyed by object ids, which a copy or an unpickled
+        # scenario does not share.
+        state = dict(self.__dict__)
+        state.pop("_draw_plans", None)
+        return state
+
     # -- construction helpers ---------------------------------------------------
 
     @classmethod

@@ -20,7 +20,9 @@ Four oracles are run against every valid generated program:
   collision checks, visibility, the generator's ground-truth
   :class:`~repro.fuzz.program_gen.PlannedCheck` assertions, and (via a
   sample-recording rejection draw) the program's own hard ``require``
-  conditions.
+  conditions.  That draw concretizes by the recursive walk, so it doubles
+  as a differential check of the compiled draw plan the strategies use:
+  its scene must equal the ``rejection`` scene.
 * **Pruning soundness** — the reference (unpruned) strategy's accepted
   scene is checked against an automatically pruned fresh compile of the
   same program: every requirement-satisfying position must still lie
@@ -47,6 +49,8 @@ A fifth, opt-in oracle (``statistical=True``) guards the constructive
 Compilation failures of supposedly-valid programs, and *any* non-ScenicError
 escaping the pipeline, are reported as failures too — the latter is the
 crash oracle that drives the error-path hardening of ``repro.language``.
+A ScenicError raised while sampling is a failure for a generated program
+and a skip (an invalid program) for a mutant run with ``expect_valid=False``.
 """
 
 from __future__ import annotations
@@ -176,7 +180,9 @@ def draw_scene_with_sample(scenario, seed: int, max_iterations: int):
     This mirrors :func:`repro.sampling.strategies.draw_candidate` (same RNG
     consumption order) but keeps the accepted joint :class:`Sample`, which is
     what lets the oracle re-evaluate ``require`` conditions independently of
-    ``check_user_requirements``.
+    ``check_user_requirements``.  It concretizes by the recursive walk, not
+    the compiled :class:`~repro.sampling.dependency.DrawPlan`, on purpose:
+    :func:`run_oracles` requires its scene to equal the ``rejection`` one.
     """
     from ..core.scenario import GenerationStats
     from ..sampling.strategies import check_builtin_requirements
@@ -735,6 +741,18 @@ def run_oracles(
             return scenario, engine.sample(max_iterations=budget, seed=seed)
         except RejectionError:
             return None, None
+        except ScenicError as error:
+            if expect_valid:
+                report.verdict = "fail"
+                report.failures.append(
+                    OracleFailure("crash", f"sampling raised {type(error).__name__}: {error}", name)
+                )
+            else:
+                # A mutant can compile yet be invalid at sampling time (an
+                # empty interval, say): as at compile time, that is a skip.
+                report.verdict = "skip"
+                report.skip_reason = f"invalid program: sampling raised {type(error).__name__}"
+            return None, None
         except Exception as error:  # noqa: BLE001 - the crash oracle
             report.verdict = "fail"
             report.failures.append(
@@ -765,7 +783,7 @@ def run_oracles(
             if name not in EXACT_EQUIVALENCE_STRATEGIES or name == "parallel":
                 continue
         scenario, scene = sample_with(strategy, max_iterations)
-        if report.failures:
+        if report.failures or report.verdict == "skip":
             return report
         if scene is None:
             records[name] = None
@@ -824,7 +842,7 @@ def run_oracles(
                 # (healthy) implementation.
                 boosted = min(max_iterations * 10, 10_000)
                 scenario_retry, scene_retry = sample_with(strategy_by_name[name], boosted)
-                if report.failures:
+                if report.failures or report.verdict == "skip":
                     return report
                 if scene_retry is not None:
                     records[name] = scene_record(scene_retry)
@@ -865,6 +883,16 @@ def run_oracles(
         if scene is not None and sample is not None:
             for problem in recheck_hard_requirements(scenario, sample):
                 report.failures.append(OracleFailure("recheck", problem, "rejection"))
+        # The reference walk and ``rejection`` (which draws through the
+        # compiled DrawPlan) share seed and budget, so they must agree.
+        if scene is None:
+            difference = "the recursive walk exhausted the budget rejection met"
+        else:
+            difference = records_differ(records["rejection"], scene_record(scene))
+        if difference:
+            report.failures.append(
+                OracleFailure("draw-plan", f"rejection vs recursive walk: {difference}", "rejection")
+            )
 
     # -- oracle D: pruning soundness -------------------------------------------
     if records.get("rejection") is not None and "rejection" in scenes:

@@ -285,7 +285,8 @@ class Polygon:
 
     # -- predicates ------------------------------------------------------------
 
-    def contains_point(self, point: VectorLike) -> bool:
+    def edge_table(self) -> tuple:
+        """The cached float table :func:`_contains` scans, built on first use."""
         table = self._table
         if table is None:
             with _EDGE_TABLE_LOCK:
@@ -293,9 +294,12 @@ class Polygon:
                     # Published in one assignment, complete.
                     self._table = _edge_table(self.vertices)
             table = self._table
+        return table
+
+    def contains_point(self, point: VectorLike) -> bool:
         if type(point) is not Vector:
             point = Vector.from_any(point)
-        return _contains(point.x, point.y, table)
+        return _contains(point.x, point.y, self.edge_table())
 
     def contains_polygon(self, other: "Polygon") -> bool:
         """Conservative containment: all of *other*'s vertices inside and no edge crossings."""

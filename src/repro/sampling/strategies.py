@@ -70,7 +70,7 @@ from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
 from ..geometry import backends as _backends
-from .dependency import DependencyGraph, ObjectGroup
+from .dependency import DependencyGraph, ObjectGroup, draw_plan
 from .stats import AggregateStats
 
 # ---------------------------------------------------------------------------
@@ -212,14 +212,13 @@ def draw_candidate(
 ) -> Optional[Scene]:
     """Draw one candidate scene; return it if valid, ``None`` if rejected.
 
-    This is the seed's ``Scenario._sample_candidate`` extracted unchanged:
-    the order of RNG draws is part of the engine's compatibility contract
-    (same seed ⇒ same scene as the pre-engine code).
+    This is the seed's ``Scenario._sample_candidate``, drawing through the
+    scenario's compiled :class:`~repro.sampling.dependency.DrawPlan`: the
+    order of RNG draws is part of the engine's compatibility contract (same
+    seed ⇒ same scene as the pre-engine code), and the plan keeps it.
     """
     sample = Sample(rng)
-    concrete_objects = [scenic_object._concretize(sample) for scenic_object in scenario.objects]
-    concrete_ego = scenario.ego._concretize(sample)
-    concrete_params = {name: concretize(value, sample) for name, value in scenario.params.items()}
+    concrete_objects, concrete_ego, concrete_params = draw_plan(scenario).draw(sample)
 
     if not check_builtin_requirements(
         scenario, concrete_objects, concrete_ego, stats, kernel=kernel
@@ -688,18 +687,12 @@ class VectorizedSampler(SamplingStrategy):
 
     def _draw_block(self, scenario, rng, count):
         """Concretize *count* candidates; ``None`` marks a RejectSample draw."""
+        plan = draw_plan(scenario)
         candidates = []
         for _ in range(count):
+            sample = Sample(rng)
             try:
-                sample = Sample(rng)
-                concrete_objects = [
-                    scenic_object._concretize(sample) for scenic_object in scenario.objects
-                ]
-                concrete_ego = scenario.ego._concretize(sample)
-                concrete_params = {
-                    name: concretize(value, sample) for name, value in scenario.params.items()
-                }
-                candidates.append((sample, concrete_objects, concrete_ego, concrete_params))
+                candidates.append((sample, *plan.draw(sample)))
             except RejectSample:
                 candidates.append(None)
         return candidates
@@ -837,6 +830,7 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
         )
         self.plan = None
         self._plan_scenario: Optional[Scenario] = None
+        self._preset: frozenset = frozenset()
 
     def bind(self, scenario):
         from ..synthesis import build_plan
@@ -848,6 +842,7 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
                 report=self.report,
                 max_proposal_attempts=self.max_proposal_attempts,
             )
+            self._preset = self.plan.preset_ids
             self._plan_scenario = scenario
 
     def _draw_candidate(self, scenario, rng, stats):
@@ -857,13 +852,9 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
         try:
             if plan is not None:
                 plan.seed(sample, rng, stats)
-            concrete_objects = [
-                scenic_object._concretize(sample) for scenic_object in scenario.objects
-            ]
-            concrete_ego = scenario.ego._concretize(sample)
-            concrete_params = {
-                name: concretize(value, sample) for name, value in scenario.params.items()
-            }
+            concrete_objects, concrete_ego, concrete_params = draw_plan(
+                scenario, self._preset
+            ).draw(sample)
         except RejectSample:
             if tracker is not None:
                 tracker.record("sampling", False)

@@ -70,6 +70,17 @@ class DirectPlan:
         """Whether any draw is constructive (else the plan is a no-op)."""
         return bool(self.position_plans or self.deviation_plans)
 
+    @property
+    def preset_ids(self) -> frozenset:
+        """Ids of the nodes :meth:`seed` may write into the memo.
+
+        The strategy's :class:`~repro.sampling.dependency.DrawPlan` reads
+        these from the memo instead of drawing them.
+        """
+        nodes = [plan.node for plan in self.position_plans]
+        nodes += [plan.node for plan in self.deviation_plans]
+        return frozenset(map(id, nodes))
+
     def seed(self, sample: Sample, rng: _random.Random, stats: GenerationStats) -> None:
         """Pre-seed one candidate's memo table with constructive draws.
 

@@ -148,6 +148,19 @@ class TestAnalyzer:
         assert car.max_distance == pytest.approx(30.0 + math.hypot(2.55, 11.0) / 2.0)
         assert car.min_radius == pytest.approx(1.80 / 2.0)
 
+    def test_class_shadowing_its_world_base_extends_the_world_class(self):
+        # ``class Crate(Crate)`` once recursed forever in the class-facts
+        # lookup; the base is the world's Crate, bound before the definition.
+        bounds = bounds_of(
+            "import warehouse\n"
+            "class Crate(Crate):\n"
+            "    width: (0.5, 0.7)\n"
+            "    height: 0.4\n"
+            "ego = Robot\n"
+            "Crate offset by 2 @ 2, with requireVisible False\n"
+        )
+        assert bounds.for_object(1).min_radius == pytest.approx(0.2)
+
     def test_distance_requirement_tightens_bound(self):
         bounds = bounds_of(
             "import gtaLib\nego = EgoCar\nc = Car\nrequire (distance to c) <= 12\n"

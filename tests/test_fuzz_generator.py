@@ -116,6 +116,67 @@ class TestOracles:
         report = run_oracles(source, seed=1, max_iterations=100)
         assert report.verdict != "fail", [str(f) for f in report.failures]
 
+    EMPTY_INTERVAL = (
+        "ego = Object at 0 @ 0\n"
+        "Object at 10 @ 0, with width (1, 0), with requireVisible False\n"
+    )
+
+    def test_sampling_scenic_error_is_a_find_for_generated_programs(self):
+        report = run_oracles(self.EMPTY_INTERVAL, seed=1, max_iterations=50, expect_valid=True)
+        assert report.verdict == "fail"
+        assert report.failures[0].oracle == "crash"
+        assert "uniform interval (1, 0) is empty" in report.failures[0].detail
+
+    def test_sampling_scenic_error_is_a_skip_for_mutants(self):
+        report = run_oracles(self.EMPTY_INTERVAL, seed=1, max_iterations=50, expect_valid=False)
+        assert report.verdict == "skip", [str(f) for f in report.failures]
+        assert report.skip_reason.startswith("invalid program")
+
+    def test_non_scenic_error_while_sampling_is_still_a_crash_for_mutants(self):
+        from repro.sampling import RejectionSampler
+
+        class Exploding(RejectionSampler):
+            name = "rejection"
+
+            def _draw_candidate(self, scenario, rng, stats):
+                raise ValueError("boom")
+
+        report = run_oracles(
+            "ego = Object at 0 @ 0\n",
+            seed=1,
+            max_iterations=10,
+            strategies=[Exploding()],
+            expect_valid=False,
+        )
+        assert report.verdict == "fail"
+        assert "ValueError: boom" in report.failures[0].detail
+
+    def test_reference_walk_flags_a_plan_that_swaps_two_draws(self, monkeypatch):
+        """The oracle's recursive-walk draw cross-checks the compiled plan."""
+        from repro.sampling import dependency
+
+        source = (
+            "ego = Object at (-5, 5) @ (-5, 5)\n"
+            "Object at (20, 30) @ (20, 30), with requireVisible False\n"
+        )
+        clean = run_oracles(source, seed=3, max_iterations=50, strategies=["rejection"])
+        assert clean.verdict == "pass", [str(f) for f in clean.failures]
+
+        original_init = dependency.DrawPlan.__init__
+
+        def swapped_init(self, scenario, preset=frozenset()):
+            original_init(self, scenario, preset)
+            steps = list(self._steps)
+            # The first two steps are the ego's independent x and y draws.
+            assert steps[0][0] == steps[1][0] == dependency._OP_DRAW2
+            steps[0], steps[1] = steps[1], steps[0]
+            self._steps = tuple(steps)
+
+        monkeypatch.setattr(dependency.DrawPlan, "__init__", swapped_init)
+        report = run_oracles(source, seed=3, max_iterations=50, strategies=["rejection"])
+        assert report.verdict == "fail"
+        assert [failure.oracle for failure in report.failures] == ["draw-plan"]
+
 
 class TestCampaign:
     def test_mini_campaign_has_no_finds(self, tmp_path):

@@ -7,7 +7,8 @@ module turns the whole directory into permanent regression tests:
 * ``valid``-mode reproducers must pass the full differential oracle set;
 * ``invalid``/``mutation``-mode reproducers must compile cleanly or raise a
   proper :class:`~repro.core.errors.ScenicError` — never a raw Python
-  exception.
+  exception; ``mutation``-mode ones must also pass the oracles run the way
+  the campaign runs them on a mutant (``expect_valid=False``).
 """
 
 import json
@@ -47,6 +48,11 @@ def test_reproducer_stays_fixed(scenic_path, meta):
         assert report.verdict != "fail", [str(f) for f in report.failures]
     else:
         assert check_invalid_program(source) is None
+        if mode == "mutation":
+            report = run_oracles(
+                source, seed=int(meta["seed"]), max_iterations=80, expect_valid=False
+            )
+            assert report.verdict != "fail", [str(f) for f in report.failures]
 
 
 @pytest.mark.parametrize("scenic_path,meta", regression_cases())

@@ -410,3 +410,38 @@ class TestMorphology:
         thin = Polygon([(0, 0), (10, 0), (10, 1), (0, 1)])
         assert minimum_width(thin) == pytest.approx(1.0)
         assert minimum_width(Polygon.rectangle((0, 0), 3, 7)) == pytest.approx(3.0)
+
+
+class TestSpatialGridBucketKeys:
+    def test_math_floor_keys_equal_numpy_floor_keys(self):
+        from repro.geometry.spatial_index import SpatialGrid
+
+        class RecordingCells(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+        rng = random.Random(11)
+        boxes = np.array([[-30.0, -12.5, -20.0, -2.5], [0.0, 0.0, 3.0, 3.0], [7.25, -4.0, 19.0, 1.0]])
+        grid = SpatialGrid(boxes)
+        grid._cells = RecordingCells(grid._cells)
+        ox, oy = grid.origin
+        size = grid.cell_size
+        points = [(rng.uniform(-80, 80), rng.uniform(-80, 80)) for _ in range(3000)]
+        points += [(-rng.expovariate(0.1), -rng.expovariate(0.1)) for _ in range(500)]
+        # Cell boundaries, and the floats on either side of them.
+        for k in range(-8, 9):
+            x = ox + k * size
+            y = oy + k * size
+            for dx in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
+                points.append((dx, y))
+                points.append((y, dx))
+        points += [(ox, oy), (-0.0, 0.0), (1e-300, -1e-300)]
+        mismatches = []
+        for x, y in points:
+            looked_up = []
+            grid.bucket_for_point(x, y)
+            expected = (int(np.floor((x - ox) / size)), int(np.floor((y - oy) / size)))
+            if looked_up != [expected] or not all(type(part) is int for part in looked_up[0]):
+                mismatches.append((x, y, looked_up, expected))
+        assert mismatches == []

@@ -346,3 +346,120 @@ class TestGridPointLocation:
             )
             via_pruned = field.nearest_cell(position)
             assert via_pruned[0] is via_scan[0], point
+
+
+class TestFloatContainment:
+    """The float route (``_contains_xy``) must give ``contains_point``'s verdicts.
+
+    ``Region.contains_object`` computes an object's corners and edge
+    midpoints on floats and tests them through ``_contains_xy``; these
+    tests hold that route to the Vector one, point by point and object by
+    object, with zero mismatches allowed.
+    """
+
+    @staticmethod
+    def _probes(pieces, rng):
+        """Vertices, edge points, their float neighbours, overshoots, noise."""
+        probes = []
+        for piece in pieces:
+            for vertex in piece.vertices:
+                probes.append((vertex.x, vertex.y))
+                probes.append((math.nextafter(vertex.x, math.inf), vertex.y))
+                probes.append((vertex.x, math.nextafter(vertex.y, -math.inf)))
+            for a, b in piece.edges():
+                for t in (0.5, rng.random()):
+                    x, y = a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t
+                    probes.append((x, y))
+                    probes.append((math.nextafter(x, -math.inf), y))
+                    probes.append((x, math.nextafter(y, math.inf)))
+                    for overshoot in (-1e-10, 1e-10):
+                        probes.append((x + overshoot, y))
+                        probes.append((x, y + overshoot))
+            box = piece.bounding_box()
+            for _ in range(20):
+                probes.append((
+                    rng.uniform(box.min_x - 1, box.max_x + 1),
+                    rng.uniform(box.min_y - 1, box.max_y + 1),
+                ))
+        return probes
+
+    @staticmethod
+    def _assert_same(region, probes):
+        mismatches = [
+            point for point in probes
+            if region._contains_xy(*point) != region.contains_point(Vector(*point))
+        ]
+        assert mismatches == []
+
+    def test_polygonal_region_with_and_without_the_grid(self, rng):
+        concave = Polygon([(0, 0), (6, 0), (6, 4), (4, 4), (4, 1.5), (2, 1.5), (2, 4), (0, 4)])
+        small = PolygonalRegion([concave, Polygon.rectangle((9, 1), 2, 3, 0.4)])
+        strips = [Polygon([(i, 0), (i + 1, 0), (i + 1.5, 1), (i, 1)]) for i in range(12)]
+        large = PolygonalRegion(strips)
+        large._batch_tables()
+        assert small._grid is None and large._grid is not None
+        for region in (small, large):
+            probes = self._probes(region.polygons, rng)
+            verdicts = {region._contains_xy(*point) for point in probes}
+            assert verdicts == {True, False}
+            self._assert_same(region, probes)
+
+    def test_rectangular_region(self, rng):
+        region = RectangularRegion((3.5, -2.0), 0.7, 4.0, 2.5)
+        self._assert_same(region, self._probes([region.polygon], rng))
+
+    def test_third_party_region_keeps_its_own_contains_point(self, rng):
+        class Disc(PolygonalRegion):
+            """A region overriding contains_point only: the float route must use it."""
+
+            def contains_point(self, point):
+                point = Vector.from_any(point)
+                return math.hypot(point.x - 1, point.y - 1) <= 1
+
+        square = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+        disc = Disc([square])
+        probes = self._probes([square], rng)
+        self._assert_same(disc, probes)
+        assert not disc._contains_xy(0.0, 0.0) and square.contains_point((0.0, 0.0))
+
+    def test_contains_object_matches_the_vector_version_on_gallery_workspaces(self):
+        import random
+        from pathlib import Path
+
+        from repro.core.objects import Object
+        from repro.language import scenario_from_file
+
+        def vector_contains_object(region, scenic_object):
+            """``Region.contains_object`` as it was on Vectors, kept as the oracle."""
+            corners = scenic_object.corners
+            if not all(region.contains_point(corner) for corner in corners):
+                return False
+            count = len(corners)
+            for i in range(count):
+                a, b = corners[i], corners[(i + 1) % count]
+                if not region.contains_point(Vector((a.x + b.x) / 2, (a.y + b.y) / 2)):
+                    return False
+            return True
+
+        scenarios = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+        rng = random.Random(20260729)
+        for stem in ("crossing_traffic", "mars_bottleneck", "warehouse_picking"):
+            region = scenario_from_file(scenarios / f"{stem}.scenic").workspace.region
+            box = region.bounding_box()
+            verdicts, mismatches = [], []
+            for _ in range(3000):
+                scenic_object = Object._make(
+                    position=Vector(
+                        rng.uniform(box.min_x - 2, box.max_x + 2),
+                        rng.uniform(box.min_y - 2, box.max_y + 2),
+                    ),
+                    heading=rng.uniform(-math.pi, math.pi),
+                    width=rng.uniform(0.1, 0.15 * box.width),
+                    height=rng.uniform(0.1, 0.15 * box.height),
+                )
+                expected = vector_contains_object(region, scenic_object)
+                verdicts.append(expected)
+                if region.contains_object(scenic_object) != expected:
+                    mismatches.append(scenic_object)
+            assert any(verdicts) and not all(verdicts), stem
+            assert mismatches == [], stem
