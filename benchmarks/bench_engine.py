@@ -26,9 +26,9 @@ cheaper, and this benchmark is the regression guard):
   single-candidate requests vs 64 per-request launches (≥3.5x), with the
   sliced-back results bit-identical.
 
-Headline numbers are also written to ``results/BENCH_9.json`` (see
-``conftest.save_bench_json``) so future PRs have a machine-readable perf
-trajectory to diff against.
+Headline numbers are also written to the untracked run file
+``conftest.BENCH_JSON`` (see ``conftest.save_bench_json``), to diff against
+the committed baselines under ``results/``.
 """
 
 import asyncio

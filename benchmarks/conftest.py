@@ -18,10 +18,12 @@ import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-#: The machine-readable perf trajectory for this PR: every benchmark that
-#: produces a headline number also records it here, so future PRs can diff
-#: measured performance against a committed baseline instead of prose.
-BENCH_JSON = RESULTS_DIR / "BENCH_9.json"
+#: Where a benchmark run records its headline numbers.  Untracked (the
+#: ``results/*`` ignore rule covers it): a run never overwrites a committed
+#: baseline such as the ``results/BENCH_9.json`` that
+#: ``python -m repro.service bench --check`` reads.  Copy it over a baseline
+#: on purpose to promote a run.
+BENCH_JSON = RESULTS_DIR / "BENCH_run.json"
 
 
 def save_result(name: str, text: str) -> None:
@@ -33,7 +35,7 @@ def save_result(name: str, text: str) -> None:
 
 
 def save_bench_json(name: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``results/BENCH_9.json``.
+    """Merge one benchmark's numbers into the run file :data:`BENCH_JSON`.
 
     The file accumulates across a benchmark run (each test owns one key),
     so a full ``pytest bench_engine.py`` leaves a complete, diffable

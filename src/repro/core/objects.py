@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..geometry.polygon import Polygon
+from ..geometry.polygon import Polygon, corner_coords, object_footprint, rings_intersect
 from .context import register_object
 from .distributions import _MISSING, Sample, concretize, is_constant, needs_sampling
 from .errors import ScenicError
@@ -250,19 +250,8 @@ class Object(OrientedPoint):
     @property
     def corners(self) -> List[Vector]:
         """The four corners of the bounding box (front-right first, anticlockwise)."""
-        position = Vector.from_any(self.position)
-        heading = float(self.heading)
-        half_w = float(self.width) / 2.0
-        half_h = float(self.height) / 2.0
-        # position + offset.rotated_by(heading) for each corner offset, on floats.
-        cos_h, sin_h = math.cos(heading), math.sin(heading)
-        x, y = position.x, position.y
-        return [
-            Vector(x + (dx * cos_h - dy * sin_h), y + (dx * sin_h + dy * cos_h))
-            for dx, dy in (
-                (half_w, half_h), (-half_w, half_h), (-half_w, -half_h), (half_w, -half_h)
-            )
-        ]
+        ax, ay, bx, by, cx, cy, dx, dy = corner_coords(self)
+        return [Vector(ax, ay), Vector(bx, by), Vector(cx, cy), Vector(dx, dy)]
 
     @property
     def bounding_polygon(self) -> Polygon:
@@ -279,7 +268,8 @@ class Object(OrientedPoint):
         return math.hypot(float(self.width) / 2.0, float(self.height) / 2.0)
 
     def intersects(self, other: "Object") -> bool:
-        return self.bounding_polygon.intersects(other.bounding_polygon)
+        # bounding_polygon.intersects(other.bounding_polygon), on floats.
+        return rings_intersect(*object_footprint(self), *object_footprint(other))
 
     def contains_point(self, point: Any) -> bool:
         return self.bounding_polygon.contains_point(point)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional, Tuple
 
+from ..geometry.polygon import corner_coords
 from .distributions import (
     AttributeDistribution,
     Distribution,
@@ -161,12 +162,14 @@ def _can_see(viewer: Any, target: Any) -> bool:
     the (conservative) polygon-versus-sector approximation.
     """
     region = visible_region_of(viewer)
-    corners = getattr(target, "corners", None)
-    if corners is None:
-        return region.contains_point(_concrete_vector(target))
-    if region.contains_point(_concrete_vector(target)):
+    contains = region._contains_xy
+    center = _concrete_vector(target)
+    if contains(center.x, center.y):
         return True
-    return any(region.contains_point(corner) for corner in corners)
+    if not hasattr(type(target), "corners"):  # only Objects have a bounding box
+        return False
+    ax, ay, bx, by, cx, cy, dx, dy = corner_coords(target)
+    return contains(ax, ay) or contains(bx, by) or contains(cx, cy) or contains(dx, dy)
 
 
 def _is_in_region(value: Any, region: Region) -> bool:

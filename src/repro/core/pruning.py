@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.bounds import ObjectBounds, PruneBounds
 from ..analysis.intervals import CircularInterval
 from ..geometry.morphology import dilate_polygon, erode_polygon, minimum_width
-from ..geometry.polygon import Polygon, clip_polygon, polygons_intersect
+from ..geometry.polygon import Polygon, _boxes_overlap, clip_polygon, polygons_intersect
 from ..geometry.spatial_index import SpatialGrid
 from .distributions import needs_sampling
 from .errors import InfeasibleScenarioError
@@ -351,7 +351,6 @@ def prune_scenario(
             position.region, PolygonalRegion
         ):
             snapshots[index] = (position.region, list(position.region.polygons))
-    coverage_cache: Dict[Tuple[int, int], bool] = {}
 
     for index, scenic_object in enumerate(scenario.objects):
         if index not in snapshots:
@@ -391,7 +390,7 @@ def prune_scenario(
         size_inputs: List[Tuple[float, float]] = []
         if object_bounds is not None and object_bounds.min_configuration_width is not None:
             if _partner_reasoning_allowed(
-                scenario, region, workspace_region, coverage_cache, notes, index
+                scenario, region, workspace_region, notes, index
             ):
                 size_inputs.append(
                     (object_bounds.narrowness_distance, object_bounds.min_configuration_width)
@@ -420,7 +419,6 @@ def prune_scenario(
                     constraint.partner,
                     orientation,
                     workspace_region,
-                    coverage_cache,
                     notes,
                 )
                 if partner_cells is None:
@@ -501,7 +499,6 @@ def _partner_cells(
     partner_index: int,
     orientation: PolygonalVectorField,
     workspace_region: Region,
-    coverage_cache: Dict[Tuple[int, int], bool],
     notes: List[str],
 ) -> Optional[List[Tuple[Polygon, float]]]:
     """Cells the partner object can occupy, or ``None`` when unprovable.
@@ -536,7 +533,7 @@ def _partner_cells(
             return cells
     if scenario.workspace.is_unbounded:
         return None
-    if _workspace_covered_by_cells(workspace_region, orientation, coverage_cache, notes):
+    if _workspace_covered_by_cells(workspace_region, orientation, notes):
         return list(orientation.cells)
     return None
 
@@ -545,7 +542,6 @@ def _partner_reasoning_allowed(
     scenario: Scenario,
     region: PolygonalRegion,
     workspace_region: Region,
-    coverage_cache: Dict[Tuple[int, int], bool],
     notes: List[str],
     index: int,
 ) -> bool:
@@ -558,9 +554,7 @@ def _partner_reasoning_allowed(
     """
     if scenario.workspace.is_unbounded:
         return False
-    covered = _polygons_cover(
-        _polygons_of_region(workspace_region), list(region.polygons), coverage_cache, key=(id(workspace_region), id(region))
-    )
+    covered = _polygons_cover(_polygons_of_region(workspace_region), region.polygons)
     if not covered:
         notes.append(
             f"object {index}: size pruning skipped (workspace not provably "
@@ -572,34 +566,40 @@ def _partner_reasoning_allowed(
 def _workspace_covered_by_cells(
     workspace_region: Region,
     orientation: PolygonalVectorField,
-    coverage_cache: Dict[Tuple[int, int], bool],
     notes: List[str],
 ) -> bool:
     covered = _polygons_cover(
         _polygons_of_region(workspace_region),
         [polygon for polygon, _heading in orientation.cells],
-        coverage_cache,
-        key=(id(workspace_region), id(orientation)),
     )
     if not covered:
         notes.append("workspace not provably covered by the orientation field's cells")
     return covered
 
 
-def _polygons_cover(
-    targets: Sequence[Polygon],
-    cells: Sequence[Polygon],
-    cache: Dict[Tuple[int, int], bool],
-    key: Tuple[int, int],
-) -> bool:
+#: Coverage proofs by the polygons' vertex coordinates: the proof is a pure
+#: function of them, and one world's workspace is proved against the same
+#: cells by every program on that world.
+_COVER_PROOFS: Dict[tuple, bool] = {}
+
+#: Proofs kept before the memo starts over (a bound on its memory).
+_COVER_PROOFS_MAX = 256
+
+
+def _polygons_cover(targets: Sequence[Polygon], cells: Sequence[Polygon]) -> bool:
     """Prove ``union(cells) ⊇ union(targets)`` by area arithmetic.
 
     Uses the depth-2 Bonferroni lower bound ``|T ∩ ∪cᵢ| ≥ Σ|T∩cᵢ| −
     Σᵢ<ⱼ|T∩cᵢ∩cⱼ|``, which is exact for convex pieces via polygon clipping;
     non-convex inputs make the bound unprovable and the check conservatively
-    fails (pruning then skips the partner-based techniques).
+    fails (pruning then skips the partner-based techniques).  Memoised
+    process-wide in :data:`_COVER_PROOFS`.
     """
-    cached = cache.get(key)
+    key = (
+        tuple(target.points() for target in targets),
+        tuple(cell.points() for cell in cells),
+    )
+    cached = _COVER_PROOFS.get(key)
     if cached is not None:
         return cached
 
@@ -614,10 +614,10 @@ def _polygons_cover(
             target_area = target.area
             if target_area <= 0:
                 continue
-            box = target.bounding_box()
+            box = target.bounds()
             pieces: List[Polygon] = []
             for cell in cells:
-                if not box.intersects(cell.bounding_box()):
+                if not _boxes_overlap(box, cell.bounds()):
                     continue
                 piece = clip_polygon(target, cell)
                 if piece is not None:
@@ -625,9 +625,9 @@ def _polygons_cover(
             total = sum(piece.area for piece in pieces)
             overlap = 0.0
             for i in range(len(pieces)):
-                box_i = pieces[i].bounding_box()
+                box_i = pieces[i].bounds()
                 for j in range(i + 1, len(pieces)):
-                    if not box_i.intersects(pieces[j].bounding_box()):
+                    if not _boxes_overlap(box_i, pieces[j].bounds()):
                         continue
                     shared = clip_polygon(pieces[i], pieces[j])
                     if shared is not None:
@@ -637,7 +637,9 @@ def _polygons_cover(
         return True
 
     result = compute()
-    cache[key] = result
+    if len(_COVER_PROOFS) >= _COVER_PROOFS_MAX:
+        _COVER_PROOFS.clear()
+    _COVER_PROOFS[key] = result
     return result
 
 

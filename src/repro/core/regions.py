@@ -20,14 +20,22 @@ from __future__ import annotations
 
 import math
 import random as _random
+from bisect import bisect_left
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry import kernel as _kernel
-from ..geometry.polygon import BoundingBox, Polygon, _contains, polygons_intersect
+from ..geometry.polygon import (
+    BoundingBox,
+    Polygon,
+    _contains,
+    corner_coords,
+    polygons_intersect,
+    segment_distance,
+)
 from ..geometry.spatial_index import SpatialGrid
-from ..geometry.triangulation import TriangulatedSampler, sample_point_in_triangle
+from ..geometry.triangulation import TriangulatedSampler
 from .distributions import Distribution, needs_sampling
 from .errors import RejectSample, ScenicError
 from .utils import normalize_angle
@@ -96,24 +104,8 @@ class Region:
         midpoints catch that case while staying exact for convex regions,
         where corner containment already implies full containment.
         """
-        # The corners as Object.corners computes them, and the midpoints as
-        # (a + b) / 2, on floats; tested corners first, then midpoints.
-        position = scenic_object.position
-        if type(position) is not Vector:
-            position = Vector.from_any(position)
-        heading = float(scenic_object.heading)
-        half_w = float(scenic_object.width) / 2.0
-        half_h = float(scenic_object.height) / 2.0
-        cos_h, sin_h = math.cos(heading), math.sin(heading)
-        x, y = position.x, position.y
-        ax = x + (half_w * cos_h - half_h * sin_h)
-        ay = y + (half_w * sin_h + half_h * cos_h)
-        bx = x + (-half_w * cos_h - half_h * sin_h)
-        by = y + (-half_w * sin_h + half_h * cos_h)
-        cx = x + (-half_w * cos_h - -half_h * sin_h)
-        cy = y + (-half_w * sin_h + -half_h * cos_h)
-        dx = x + (half_w * cos_h - -half_h * sin_h)
-        dy = y + (half_w * sin_h + -half_h * cos_h)
+        # The corners, then the midpoints as (a + b) / 2, on floats.
+        ax, ay, bx, by, cx, cy, dx, dy = corner_coords(scenic_object)
         contains = self._contains_xy
         return (
             contains(ax, ay)
@@ -215,7 +207,12 @@ class CircularRegion(Region):
             raise ScenicError("circle radius must be non-negative")
 
     def contains_point(self, point: VectorLike) -> bool:
-        return self.center.distance_to(point) <= self.radius + 1e-9
+        point = Vector.from_any(point)
+        return self._contains_xy(point.x, point.y)
+
+    def _contains_xy(self, x: float, y: float) -> bool:
+        # center.distance_to(point), on floats.
+        return math.hypot(self.center.x - x, self.center.y - y) <= self.radius + 1e-9
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
         pts = _kernel.as_points(points)
@@ -266,14 +263,21 @@ class SectorRegion(Region):
 
     def contains_point(self, point: VectorLike) -> bool:
         point = Vector.from_any(point)
-        offset = point - self.center
-        if offset.norm() > self.radius + 1e-9:
+        return self._contains_xy(point.x, point.y)
+
+    def _contains_xy(self, x: float, y: float) -> bool:
+        # offset = point - center; its norm and heading (Vector.angle), on floats.
+        ox = x - self.center.x
+        oy = y - self.center.y
+        norm = math.hypot(ox, oy)
+        if norm > self.radius + 1e-9:
             return False
         if self.angle >= 2 * math.pi - 1e-9:
             return True
-        if offset.norm() < 1e-12:
+        if norm < 1e-12:
             return True
-        relative = abs(normalize_angle(offset.angle() - self.heading))
+        heading = 0.0 if ox == 0.0 and oy == 0.0 else normalize_angle(math.atan2(-ox, oy))
+        relative = abs(normalize_angle(heading - self.heading))
         return relative <= self.angle / 2 + 1e-9
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
@@ -478,11 +482,10 @@ class PolygonalRegion(Region):
         return result
 
     def uniform_point(self, rng):
-        u = rng.random()
-        for sampler, threshold in zip(self._samplers, self._cumulative):
-            if u <= threshold:
-                return sampler.sample(rng)
-        return self._samplers[-1].sample(rng)
+        # The first piece whose cumulative share reaches u (the list is
+        # non-decreasing), else the last one.
+        index = bisect_left(self._cumulative, rng.random())
+        return self._samplers[min(index, len(self._samplers) - 1)].sample(rng)
 
     def bounding_box(self):
         boxes = [polygon.bounding_box() for polygon in self.polygons]
@@ -531,7 +534,8 @@ class PolylineRegion(Region):
     def contains_point(self, point: VectorLike, tolerance: float = 0.5) -> bool:
         point = Vector.from_any(point)
         return any(
-            _point_segment_distance(point, a, b) <= tolerance for a, b in self.segments
+            segment_distance(point.x, point.y, a.x, a.y, b.x, b.y) <= tolerance
+            for a, b in self.segments
         )
 
     def contains_points_batch(self, points: Any, tolerance: float = 0.5) -> np.ndarray:
@@ -568,8 +572,9 @@ class PolylineRegion(Region):
     def orientation_at(self, point: VectorLike) -> float:
         """Heading of the nearest segment at *point*."""
         point = Vector.from_any(point)
+        x, y = point.x, point.y
         best_segment = min(
-            self.segments, key=lambda seg: _point_segment_distance(point, seg[0], seg[1])
+            self.segments, key=lambda seg: segment_distance(x, y, seg[0].x, seg[0].y, seg[1].x, seg[1].y)
         )
         return (best_segment[1] - best_segment[0]).angle()
 
@@ -709,15 +714,6 @@ def _normalize_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.core.utils.normalize_angle`: wrap into (-pi, pi]."""
     wrapped = np.mod(angles, 2 * math.pi)
     return np.where(wrapped > math.pi, wrapped - 2 * math.pi, wrapped)
-
-
-def _point_segment_distance(point: Vector, a: Vector, b: Vector) -> float:
-    segment = b - a
-    length_sq = segment.dot(segment)
-    if length_sq == 0:
-        return point.distance_to(a)
-    t = max(0.0, min(1.0, (point - a).dot(segment) / length_sq))
-    return point.distance_to(a + segment * t)
 
 
 __all__ = [

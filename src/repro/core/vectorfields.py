@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..geometry.polygon import Polygon
+from ..geometry.polygon import Polygon, _contains
 from .distributions import FunctionDistribution, needs_sampling
 from .utils import normalize_angle
 from .vectors import Vector, VectorLike
@@ -92,6 +92,7 @@ class PolygonalVectorField(VectorField):
     # before the index existed have no such keys in their __dict__.
     _boxes = None
     _grid = None
+    _cell_headings = None
 
     def __init__(self, name: str, cells: Sequence[Tuple[Polygon, float]],
                  default_heading: float = 0.0):
@@ -114,8 +115,7 @@ class PolygonalVectorField(VectorField):
 
             boxes = np.empty((len(self.cells), 4), dtype=float)
             for index, (polygon, _heading) in enumerate(self.cells):
-                box = polygon.bounding_box()
-                boxes[index] = (box.min_x, box.min_y, box.max_x, box.max_y)
+                boxes[index] = polygon.bounds()
             boxes += np.array([-1e-6, -1e-6, 1e-6, 1e-6])
             if len(self.cells) >= self._GRID_MIN_CELLS:
                 from ..geometry.spatial_index import SpatialGrid
@@ -136,18 +136,19 @@ class PolygonalVectorField(VectorField):
 
     def cell_at(self, position: VectorLike) -> Optional[Tuple[Polygon, float]]:
         position = Vector.from_any(position)
+        x, y = position.x, position.y
         if len(self.cells) >= self._GRID_MIN_CELLS:
             _boxes, grid = self._tables()
             if grid is not None:
                 # Bucket indices are ascending, so the first containing
                 # candidate is the same cell the full scan would return.
-                for index in grid.bucket_for_point(position.x, position.y):
+                for index in grid.bucket_for_point(x, y):
                     polygon, heading = self.cells[index]
-                    if polygon.contains_point(position):
+                    if _contains(x, y, polygon._table or polygon.edge_table()):
                         return polygon, heading
                 return None
         for polygon, heading in self.cells:
-            if polygon.contains_point(position):
+            if _contains(x, y, polygon._table or polygon.edge_table()):
                 return polygon, heading
         return None
 
@@ -187,10 +188,20 @@ class PolygonalVectorField(VectorField):
         return self.cells[best_index]
 
     def heading_of_cell(self, polygon: Polygon) -> Optional[float]:
-        for cell_polygon, heading in self.cells:
-            if cell_polygon is polygon or cell_polygon == polygon:
-                return heading
-        return None
+        """The heading of the first cell equal to *polygon*, or ``None``."""
+        index = self._cell_headings
+        if index is None:
+            index = {}
+            for cell_polygon, heading in self.cells:
+                index.setdefault(cell_polygon, heading)
+            self._cell_headings = index  # published complete
+        return index.get(polygon)
+
+    def __getstate__(self) -> dict:
+        # The cell -> heading index is a cache: pickles and copies drop it.
+        state = self.__dict__.copy()
+        state.pop("_cell_headings", None)
+        return state
 
 
 class PolylineVectorField(VectorField):

@@ -18,7 +18,7 @@ import math
 from typing import List, Optional
 
 from ..core.vectors import Vector
-from .polygon import Polygon, convex_hull
+from .polygon import Polygon, convex_hull, segment_distance
 
 
 def erode_polygon(polygon: Polygon, radius: float) -> Optional[Polygon]:
@@ -81,7 +81,7 @@ def erode_polygon(polygon: Polygon, radius: float) -> Optional[Polygon]:
         if not polygon.contains_point(vertex):
             return None
         boundary_distance = min(
-            _point_segment_distance(vertex, a, b) for a, b in polygon.edges()
+            segment_distance(vertex.x, vertex.y, a.x, a.y, b.x, b.y) for a, b in polygon.edges()
         )
         if boundary_distance + tolerance < radius:
             return None
@@ -112,7 +112,7 @@ def inradius_lower_bound(polygon: Polygon) -> float:
     """A cheap lower bound on how far the centroid is from the boundary."""
     centroid = polygon.centroid
     return min(
-        _point_segment_distance(centroid, a, b) for a, b in polygon.edges()
+        segment_distance(centroid.x, centroid.y, a.x, a.y, b.x, b.y) for a, b in polygon.edges()
     )
 
 
@@ -126,18 +126,19 @@ def minimum_width(polygon: Polygon) -> float:
     its hull is narrow).
     """
     hull = polygon if polygon.is_convex() else convex_hull(polygon.vertices)
-    vertices = hull.vertices
-    count = len(vertices)
+    points = hull.points()
+    count = len(points)
     best = math.inf
     for i in range(count):
-        a, b = vertices[i], vertices[(i + 1) % count]
-        edge = b - a
-        length = edge.norm()
+        ax, ay = points[i]
+        bx, by = points[(i + 1) % count]
+        # The edge's unit left normal, and every vertex's offset along it.
+        ex, ey = bx - ax, by - ay
+        length = math.hypot(ex, ey)
         if length == 0:
             continue
-        direction = edge / length
-        normal = Vector(-direction.y, direction.x)
-        distances = [(v - a).dot(normal) for v in vertices]
+        nx, ny = -(ey / length), ex / length
+        distances = [(x - ax) * nx + (y - ay) * ny for x, y in points]
         width = max(distances) - min(distances)
         best = min(best, width)
     return best if best is not math.inf else 0.0
@@ -149,12 +150,3 @@ def _line_intersection(p1: Vector, d1: Vector, p2: Vector, d2: Vector) -> Option
         return None
     t = (p2 - p1).cross(d2) / denominator
     return p1 + d1 * t
-
-
-def _point_segment_distance(point: Vector, a: Vector, b: Vector) -> float:
-    segment = b - a
-    length_sq = segment.dot(segment)
-    if length_sq == 0:
-        return point.distance_to(a)
-    t = max(0.0, min(1.0, (point - a).dot(segment) / length_sq))
-    return point.distance_to(a + segment * t)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.vectors import Vector, VectorLike
 
@@ -147,15 +147,35 @@ def segments_intersect(
 #: counts as inside.
 _ON_EDGE_TOLERANCE = 1e-9
 
-#: Lock taken only while a polygon's edge table is first built, so a region
-#: shared by sampling threads builds each table once.
-_EDGE_TABLE_LOCK = threading.Lock()
+#: Lock taken only while a polygon's float caches are first built, so a
+#: region shared by sampling threads builds each cache once.
+_CACHE_LOCK = threading.Lock()
+
+
+def _bounds_xy(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float, float]:
+    """``(min_x, min_y, max_x, max_y)`` of float points, as :meth:`BoundingBox.of_points`."""
+    xs = [x for x, _y in points]
+    ys = [y for _x, y in points]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _float_vertices(vertices: Sequence[Vector]) -> Tuple[tuple, Tuple[float, float, float, float]]:
+    """A polygon's float caches: its vertices as ``(x, y)`` pairs, and their bounds."""
+    points = tuple((vertex.x, vertex.y) for vertex in vertices)
+    return points, _bounds_xy(points)
 
 
 def _edge_table(vertices: Sequence[Vector]) -> Tuple[float, float, float, float, tuple]:
+    """The float table :func:`_contains` scans for a ring of :class:`Vector` vertices."""
+    return _edge_table_xy([(vertex.x, vertex.y) for vertex in vertices])
+
+
+def _edge_table_xy(
+    points: Sequence[Tuple[float, float]],
+) -> Tuple[float, float, float, float, tuple]:
     """The float table :func:`_contains` scans: a reject box plus one row per edge.
 
-    Edge ``i`` joins ``a = vertices[i]`` to ``b = vertices[i - 1]``; its row is
+    Edge ``i`` joins ``a = points[i]`` to ``b = points[i - 1]``; its row is
     ``(ax, ay, bx, by, dx, dy, threshold, limit, ex, ey)`` with ``d = b - a``,
     ``e = a - b``, the on-edge cross-product ``threshold`` and the dot-product
     ``limit`` (squared length plus tolerance), each computed with exactly the
@@ -174,10 +194,10 @@ def _edge_table(vertices: Sequence[Vector]) -> Tuple[float, float, float, float,
     tolerance = _ON_EDGE_TOLERANCE
     rows = []
     reach = 0.0
-    j = len(vertices) - 1
-    for i in range(len(vertices)):
-        ax, ay = vertices[i].x, vertices[i].y
-        bx, by = vertices[j].x, vertices[j].y
+    j = len(points) - 1
+    for i in range(len(points)):
+        ax, ay = points[i]
+        bx, by = points[j]
         dx, dy = bx - ax, by - ay
         length = math.hypot(ax - bx, ay - by)
         threshold = tolerance * max(1.0, length)
@@ -186,9 +206,7 @@ def _edge_table(vertices: Sequence[Vector]) -> Tuple[float, float, float, float,
         )
         reach = max(reach, (threshold + tolerance) / length if length > 0 else math.inf)
         j = i
-    xs = [vertex.x for vertex in vertices]
-    ys = [vertex.y for vertex in vertices]
-    min_x, min_y, max_x, max_y = min(xs), min(ys), max(xs), max(ys)
+    min_x, min_y, max_x, max_y = _bounds_xy(points)
     margin = 2.0 * reach + 64.0 * math.ulp(max(-min_x, -min_y, max_x, max_y))
     return (min_x - margin, min_y - margin, max_x + margin, max_y + margin, tuple(rows))
 
@@ -225,7 +243,7 @@ def point_in_polygon(point: VectorLike, vertices: Sequence[Vector]) -> bool:
 class Polygon:
     """A simple polygon, stored with anticlockwise vertex order."""
 
-    __slots__ = ("vertices", "_table")
+    __slots__ = ("vertices", "_table", "_points", "_bounds")
 
     def __init__(self, vertices: Sequence[VectorLike]):
         points = [Vector.from_any(v) for v in vertices]
@@ -235,14 +253,19 @@ class Polygon:
             points = list(reversed(points))
         self.vertices: Tuple[Vector, ...] = tuple(points)
         self._table: Optional[tuple] = None
+        self._points: Optional[tuple] = None
+        self._bounds: Optional[tuple] = None
 
     def __getstate__(self) -> Tuple[Vector, ...]:
-        # The edge table is a cache: pickles and copies carry the vertices only.
+        # The edge table and float vertices are caches: pickles and copies
+        # carry the vertices only.
         return self.vertices
 
     def __setstate__(self, vertices: Tuple[Vector, ...]) -> None:
         self.vertices = vertices
         self._table = None
+        self._points = None
+        self._bounds = None
 
     # -- basic measures --------------------------------------------------------
 
@@ -268,7 +291,8 @@ class Polygon:
         return Vector(cx * factor, cy * factor)
 
     def bounding_box(self) -> BoundingBox:
-        return BoundingBox.of_points(self.vertices)
+        # A fresh box each call: BoundingBox is mutable, the cached tuple not.
+        return BoundingBox(*self.bounds())
 
     def edges(self) -> List[Tuple[Vector, Vector]]:
         verts = self.vertices
@@ -289,12 +313,31 @@ class Polygon:
         """The cached float table :func:`_contains` scans, built on first use."""
         table = self._table
         if table is None:
-            with _EDGE_TABLE_LOCK:
+            with _CACHE_LOCK:
                 if self._table is None:
                     # Published in one assignment, complete.
                     self._table = _edge_table(self.vertices)
             table = self._table
         return table
+
+    def points(self) -> Tuple[Tuple[float, float], ...]:
+        """The vertices as cached ``(x, y)`` float pairs, built on first use."""
+        points = self._points
+        if points is None:
+            with _CACHE_LOCK:
+                if self._points is None:
+                    points, bounds = _float_vertices(self.vertices)
+                    # The bounds first: a reader that sees the points sees both.
+                    self._bounds = bounds
+                    self._points = points
+            points = self._points
+        return points
+
+    def bounds(self) -> Tuple[float, float, float, float]:
+        """The cached ``(min_x, min_y, max_x, max_y)`` of the vertices."""
+        if self._bounds is None:
+            self.points()
+        return self._bounds
 
     def contains_point(self, point: VectorLike) -> bool:
         if type(point) is not Vector:
@@ -320,10 +363,26 @@ class Polygon:
 
     def distance_to_point(self, point: VectorLike) -> float:
         """Distance from *point* to the polygon (0 if inside)."""
-        point = Vector.from_any(point)
-        if self.contains_point(point):
+        if type(point) is not Vector:
+            point = Vector.from_any(point)
+        px, py = point.x, point.y
+        table = self._table or self.edge_table()
+        if _contains(px, py, table):
             return 0.0
-        return min(_point_segment_distance(point, a, b) for a, b in self.edges())
+        # Row (a, b) is the edge from b to a, with e = a - b: the closest
+        # point of that segment, as segment_distance computes it.
+        best = None
+        for _ax, _ay, bx, by, _dx, _dy, _threshold, _limit, ex, ey in table[4]:
+            length_sq = ex * ex + ey * ey
+            if length_sq == 0:
+                distance = math.hypot(px - bx, py - by)
+            else:
+                t = max(0.0, min(1.0, ((px - bx) * ex + (py - by) * ey) / length_sq))
+                distance = math.hypot(px - (bx + ex * t), py - (by + ey * t))
+            # min()'s rule: a later distance replaces the best only if smaller.
+            if best is None or distance < best:
+                best = distance
+        return best
 
     # -- transforms ------------------------------------------------------------
 
@@ -379,24 +438,140 @@ def _signed_area(vertices: Sequence[Vector]) -> float:
     return total / 2.0
 
 
-def _point_segment_distance(point: Vector, a: Vector, b: Vector) -> float:
-    segment = b - a
-    length_sq = segment.dot(segment)
+def segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
+    """Distance from the point ``(px, py)`` to the closed segment from ``a`` to ``b``."""
+    sx, sy = bx - ax, by - ay
+    length_sq = sx * sx + sy * sy
     if length_sq == 0:
-        return point.distance_to(a)
-    t = max(0.0, min(1.0, (point - a).dot(segment) / length_sq))
-    projection = a + segment * t
-    return point.distance_to(projection)
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * sx + (py - ay) * sy) / length_sq))
+    return math.hypot(px - (ax + sx * t), py - (ay + sy * t))
+
+
+def _edges_cross(pp: Sequence[Tuple[float, float]], qq: Sequence[Tuple[float, float]]) -> bool:
+    """:func:`segments_intersect` for some edge of ring *pp* and some edge of ring *qq*.
+
+    The rings are ``(x, y)`` vertex sequences; each edge joins a vertex to
+    the next.  Every orientation is ``_orientation``'s expression on the
+    same floats, so each pair's verdict is the Vector version's.
+    """
+    p_count, q_count = len(pp), len(qq)
+    q_edges = []
+    for j in range(q_count):
+        qx1, qy1 = qq[j]
+        qx2, qy2 = qq[(j + 1) % q_count]
+        q_edges.append((qx1, qy1, qx2, qy2, qx2 - qx1, qy2 - qy1))
+    for i in range(p_count):
+        px1, py1 = pp[i]
+        px2, py2 = pp[(i + 1) % p_count]
+        pdx, pdy = px2 - px1, py2 - py1
+        for qx1, qy1, qx2, qy2, qdx, qdy in q_edges:
+            d1 = qdx * (py1 - qy1) - qdy * (px1 - qx1)
+            d2 = qdx * (py2 - qy1) - qdy * (px2 - qx1)
+            d3 = pdx * (qy1 - py1) - pdy * (qx1 - px1)
+            d4 = pdx * (qy2 - py1) - pdy * (qx2 - px1)
+            if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+                (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+            ):
+                return True
+            # An endpoint on the other segment's line and within its box.
+            if d1 == 0 and _in_box(px1, py1, qx1, qy1, qx2, qy2):
+                return True
+            if d2 == 0 and _in_box(px2, py2, qx1, qy1, qx2, qy2):
+                return True
+            if d3 == 0 and _in_box(qx1, qy1, px1, py1, px2, py2):
+                return True
+            if d4 == 0 and _in_box(qx2, qy2, px1, py1, px2, py2):
+                return True
+    return False
+
+
+def _in_box(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:
+    """``segments_intersect``'s ``on_segment``: ``(x, y)`` within the box of ``(x1, y1)-(x2, y2)``."""
+    return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
+
+
+def corner_coords(scenic_object: Any) -> Tuple[float, ...]:
+    """An object's bounding-box corners as ``(ax, ay, bx, by, cx, cy, dx, dy)``.
+
+    Front-right first, then anticlockwise: ``position + offset.rotated_by(heading)``
+    for each corner offset, on floats.  ``Object.corners``, workspace
+    containment, collisions and visibility all take their corners from here.
+    Anything with ``position``, ``heading``, ``width`` and ``height`` works.
+    """
+    position = scenic_object.position
+    if type(position) is not Vector:
+        position = Vector.from_any(position)
+    heading = float(scenic_object.heading)
+    half_w = float(scenic_object.width) / 2.0
+    half_h = float(scenic_object.height) / 2.0
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
+    x, y = position.x, position.y
+    return (
+        x + (half_w * cos_h - half_h * sin_h),
+        y + (half_w * sin_h + half_h * cos_h),
+        x + (-half_w * cos_h - half_h * sin_h),
+        y + (-half_w * sin_h + half_h * cos_h),
+        x + (-half_w * cos_h - -half_h * sin_h),
+        y + (-half_w * sin_h + -half_h * cos_h),
+        x + (half_w * cos_h - -half_h * sin_h),
+        y + (half_w * sin_h + -half_h * cos_h),
+    )
+
+
+def object_footprint(scenic_object: Any) -> Tuple[tuple, Tuple[float, float, float, float]]:
+    """An object's bounding box as ``Polygon(corners)`` would hold it: ``(ring, bounds)``.
+
+    *ring* is the four corners as ``(x, y)`` pairs, reversed when clockwise
+    (:class:`Polygon`'s rule, on ``_signed_area``'s sum); *bounds* is
+    ``(min_x, min_y, max_x, max_y)``.  Feed two of them to
+    :func:`rings_intersect`.
+    """
+    ax, ay, bx, by, cx, cy, dx, dy = corner_coords(scenic_object)
+    twice_area = (((ax * by - bx * ay) + (bx * cy - cx * by)) + (cx * dy - dx * cy)) + (dx * ay - ax * dy)
+    if twice_area / 2.0 < 0:
+        ax, ay, bx, by, cx, cy, dx, dy = dx, dy, cx, cy, bx, by, ax, ay
+    return (
+        ((ax, ay), (bx, by), (cx, cy), (dx, dy)),
+        (min(ax, bx, cx, dx), min(ay, by, cy, dy), max(ax, bx, cx, dx), max(ay, by, cy, dy)),
+    )
+
+
+def _boxes_overlap(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
+    """:meth:`BoundingBox.intersects` on ``(min_x, min_y, max_x, max_y)`` tuples."""
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+
+
+def rings_intersect(
+    pp: Sequence[Tuple[float, float]],
+    p_bounds: Tuple[float, float, float, float],
+    qq: Sequence[Tuple[float, float]],
+    q_bounds: Tuple[float, float, float, float],
+) -> bool:
+    """:func:`polygons_intersect` on float rings in :class:`Polygon` vertex order.
+
+    *p_bounds*/*q_bounds* are the rings' ``(min_x, min_y, max_x, max_y)``.
+    """
+    if not _boxes_overlap(p_bounds, q_bounds):
+        return False
+    if _edges_cross(pp, qq):
+        return True
+    # No edge crossings: one may contain the other entirely.
+    x, y = qq[0]
+    if _contains(x, y, _edge_table_xy(pp)):
+        return True
+    x, y = pp[0]
+    return _contains(x, y, _edge_table_xy(qq))
 
 
 def polygons_intersect(p: Polygon, q: Polygon) -> bool:
     """True iff the two polygons overlap (share interior or boundary points)."""
-    if not p.bounding_box().intersects(q.bounding_box()):
+    # Points first: a polygon publishes its bounds before its points.
+    pp, qq = p._points or p.points(), q._points or q.points()
+    if not _boxes_overlap(p._bounds, q._bounds):
         return False
-    for a1, a2 in p.edges():
-        for b1, b2 in q.edges():
-            if segments_intersect(a1, a2, b1, b2):
-                return True
+    if _edges_cross(pp, qq):
+        return True
     # No edge crossings: one may contain the other entirely.
     return p.contains_point(q.vertices[0]) or q.contains_point(p.vertices[0])
 
@@ -439,42 +614,35 @@ def clip_polygon(subject: Polygon, clip: Polygon) -> Optional[Polygon]:
     (possibly degenerate) superset of the true intersection boundary, which
     keeps the pruning algorithms sound.
     """
-    output = list(subject.vertices)
-    clip_vertices = clip.vertices
-    count = len(clip_vertices)
+    output = list(subject.points())
+    clip_points = clip.points()
+    count = len(clip_points)
     for i in range(count):
         if not output:
             return None
-        a, b = clip_vertices[i], clip_vertices[(i + 1) % count]
+        ax, ay = clip_points[i]
+        bx, by = clip_points[(i + 1) % count]
+        abx, aby = bx - ax, by - ay
         input_list = output
         output = []
-
-        def inside(point: Vector) -> bool:
-            return _orientation(a, b, point) >= -1e-12
-
-        def line_intersection(p1: Vector, p2: Vector) -> Vector:
-            # Intersection of segment p1p2 with the infinite line ab.
-            d1 = _orientation(a, b, p1)
-            d2 = _orientation(a, b, p2)
-            if d1 == d2:
-                return p1
-            t = d1 / (d1 - d2)
-            return p1 + (p2 - p1) * t
-
+        # _orientation(a, b, point) of every input vertex, once.
+        sides = [abx * (y - ay) - aby * (x - ax) for x, y in input_list]
+        previous_side = sides[-1]
         for index, current in enumerate(input_list):
-            previous = input_list[index - 1]
-            if inside(current):
-                if not inside(previous):
-                    output.append(line_intersection(previous, current))
+            side = sides[index]
+            if side >= -1e-12:
+                if not previous_side >= -1e-12:
+                    output.append(_cut(input_list[index - 1], current, previous_side, side))
                 output.append(current)
-            elif inside(previous):
-                output.append(line_intersection(previous, current))
+            elif previous_side >= -1e-12:
+                output.append(_cut(input_list[index - 1], current, previous_side, side))
+            previous_side = side
     # Remove (near-)duplicate consecutive vertices before constructing.
-    cleaned: List[Vector] = []
+    cleaned: List[Tuple[float, float]] = []
     for vertex in output:
-        if not cleaned or not vertex.is_close_to(cleaned[-1], tolerance=1e-9):
+        if not cleaned or not _close(vertex, cleaned[-1]):
             cleaned.append(vertex)
-    if len(cleaned) >= 2 and cleaned[0].is_close_to(cleaned[-1], tolerance=1e-9):
+    if len(cleaned) >= 2 and _close(cleaned[0], cleaned[-1]):
         cleaned.pop()
     if len(cleaned) < 3:
         return None
@@ -482,3 +650,21 @@ def clip_polygon(subject: Polygon, clip: Polygon) -> Optional[Polygon]:
     if result.area < 1e-12:
         return None
     return result
+
+
+def _cut(
+    p1: Tuple[float, float], p2: Tuple[float, float], d1: float, d2: float
+) -> Tuple[float, float]:
+    """Where segment ``p1p2`` meets the clip line, given both orientations."""
+    if d1 == d2:
+        return p1
+    t = d1 / (d1 - d2)
+    # p1 + (p2 - p1) * t
+    return (p1[0] + (p2[0] - p1[0]) * t, p1[1] + (p2[1] - p1[1]) * t)
+
+
+def _close(p: Tuple[float, float], q: Tuple[float, float]) -> bool:
+    """``Vector.is_close_to`` with the clip clean-up's 1e-9 tolerance."""
+    return math.isclose(p[0], q[0], abs_tol=1e-9, rel_tol=1e-9) and math.isclose(
+        p[1], q[1], abs_tol=1e-9, rel_tol=1e-9
+    )

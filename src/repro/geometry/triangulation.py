@@ -24,6 +24,7 @@ Beyond the original simple-polygon path this module supports:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.vectors import Vector, VectorLike
@@ -331,7 +332,9 @@ def sample_point_in_triangle(triangle: Triangle, random_source) -> Vector:
     a, b, c = triangle
     r1 = math.sqrt(random_source.random())
     r2 = random_source.random()
-    return a * (1 - r1) + b * (r1 * (1 - r2)) + c * (r1 * r2)
+    s, t, u = 1 - r1, r1 * (1 - r2), r1 * r2
+    # a * s + b * t + c * u, summed left to right on floats.
+    return Vector(a.x * s + b.x * t + c.x * u, a.y * s + b.y * t + c.y * u)
 
 
 class TriangleFan:
@@ -414,11 +417,12 @@ class TriangulatedSampler:
             self._cumulative.append(running)
 
     def sample(self, random_source) -> Vector:
-        u = random_source.random()
-        for triangle, threshold in zip(self.triangles, self._cumulative):
-            if u <= threshold:
-                return sample_point_in_triangle(triangle, random_source)
-        return sample_point_in_triangle(self.triangles[-1], random_source)
+        # The first triangle whose cumulative share reaches u (the list is
+        # non-decreasing), else the last one.
+        index = bisect_left(self._cumulative, random_source.random())
+        return sample_point_in_triangle(
+            self.triangles[min(index, len(self.triangles) - 1)], random_source
+        )
 
 
 def sample_point_in_polygon(polygon: Polygon, random_source) -> Vector:

@@ -28,10 +28,9 @@ scenes; they differ in *how* candidates are proposed:
   one pass through the numpy kernel (:mod:`repro.geometry.kernel`); the
   default for ``Scenario.generate_batch``.
 
-The shared candidate checks themselves (``contained_in_workspace``,
-``no_pairwise_collisions``) route through the kernel whenever the scene is
-large enough for batching to pay for itself, so *every* strategy rides the
-vectorized hot path.
+The shared candidate checks themselves run on plain floats; workspace
+containment switches to the kernel once a scene is large enough for
+batching to pay for itself.
 
 Strategies are registered by name in :data:`STRATEGIES`; third-party code
 can plug in new ones with :func:`register_strategy`::
@@ -70,6 +69,7 @@ from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
 from ..geometry import backends as _backends
+from ..geometry.polygon import object_footprint, rings_intersect
 from .dependency import DependencyGraph, ObjectGroup, draw_plan
 from .stats import AggregateStats
 
@@ -78,13 +78,12 @@ from .stats import AggregateStats
 # ---------------------------------------------------------------------------
 
 
-#: Below these sizes the scalar loops win.  Containment break-even, per
+#: Below this size the scalar containment loop wins.  Break-even, per
 #: rejection-sampling candidate over the bounded example workspaces: the
 #: scalar loop (float edge tables, early exit at the first object outside)
 #: wins on every scene of up to 11 objects, the batch kernel from 13
-#: (docs/geometry.md); collisions: a handful of pairs.
+#: (docs/geometry.md).
 _KERNEL_MIN_OBJECTS = 12
-_KERNEL_MIN_COLLIDERS = 4
 
 
 def contained_in_workspace(
@@ -124,7 +123,6 @@ def no_pairwise_collisions(
     concrete_objects: List[Any],
     stats: GenerationStats,
     pair_filter: Optional[Any] = None,
-    kernel: Optional[Any] = None,
 ) -> bool:
     """No two collision-checked objects intersect (counts a collision rejection).
 
@@ -133,32 +131,36 @@ def no_pairwise_collisions(
     check into intra-group and cross-group halves without duplicating the
     rejection semantics.
 
-    Unfiltered checks on larger scenes run through the kernel's batched
-    separating-axis test (grid-pruned for many objects); the scalar loop
-    remains for filtered checks and small scenes.
+    Runs ``Object.intersects`` on floats: each object's footprint once, then
+    every pair whose bounding boxes meet.  This beats the kernel's batched
+    separating-axis test at every scene size up to 64 objects
+    (docs/geometry.md), so sampling does not use it here.
     """
-    if pair_filter is None and len(concrete_objects) >= _KERNEL_MIN_COLLIDERS:
-        collidable = np.fromiter(
-            (not scenic_object.allowCollisions for scenic_object in concrete_objects),
-            dtype=bool,
-            count=len(concrete_objects),
-        )
-        if collidable.sum() >= 2:
-            backend = kernel if kernel is not None else _backends.active_backend()
-            corners = _kernel.corners_array(concrete_objects)
-            if len(backend.pairwise_collisions(corners, collidable)) > 0:
-                stats.rejections_collision += 1
-                return False
-            return True
-        return True
-    for index, first in enumerate(concrete_objects):
-        for jndex in range(index + 1, len(concrete_objects)):
-            second = concrete_objects[jndex]
-            if first.allowCollisions or second.allowCollisions:
+    footprints = [
+        None if scenic_object.allowCollisions else object_footprint(scenic_object)
+        for scenic_object in concrete_objects
+    ]
+    for index, first in enumerate(footprints):
+        if first is None:
+            continue
+        ring, bounds = first
+        min_x, min_y, max_x, max_y = bounds
+        for jndex in range(index + 1, len(footprints)):
+            second = footprints[jndex]
+            if second is None:
                 continue
             if pair_filter is not None and not pair_filter(index, jndex):
                 continue
-            if first.intersects(second):
+            other_ring, other_bounds = second
+            # Boxes apart (rings_intersect's first test, inlined): no overlap.
+            if (
+                max_x < other_bounds[0]
+                or other_bounds[2] < min_x
+                or max_y < other_bounds[1]
+                or other_bounds[3] < min_y
+            ):
+                continue
+            if rings_intersect(ring, bounds, other_ring, other_bounds):
                 stats.rejections_collision += 1
                 return False
     return True
@@ -189,7 +191,7 @@ def check_builtin_requirements(
     """The three default requirements of Sec. 3 (containment, collision, visibility)."""
     return (
         contained_in_workspace(scenario.workspace, concrete_objects, stats, kernel=kernel)
-        and no_pairwise_collisions(concrete_objects, stats, kernel=kernel)
+        and no_pairwise_collisions(concrete_objects, stats)
         and all_required_visible(concrete_objects, concrete_ego, stats)
     )
 
@@ -477,7 +479,7 @@ class BatchSampler(SamplingStrategy):
         concrete = [scenic_object._concretize(sample) for scenic_object in group.objects]
         return contained_in_workspace(
             scenario.workspace, concrete, stats, kernel=self.kernel
-        ) and no_pairwise_collisions(concrete, stats, kernel=self.kernel)
+        ) and no_pairwise_collisions(concrete, stats)
 
     def _draw_group(
         self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
@@ -522,7 +524,6 @@ class BatchSampler(SamplingStrategy):
             # Same-group pairs were already checked locally; only cross-group
             # pairs need the joint-level collision check.
             pair_filter=lambda index, jndex: graph.independent(sources[index], sources[jndex]),
-            kernel=self.kernel,
         ) and all_required_visible(concrete_objects, concrete_ego, stats)
 
 
@@ -868,7 +869,7 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
             tracker.record("containment", ok)
         if not ok:
             return None
-        ok = no_pairwise_collisions(concrete_objects, stats, kernel=self.kernel)
+        ok = no_pairwise_collisions(concrete_objects, stats)
         if tracker is not None:
             tracker.record("collision", ok)
         if not ok:

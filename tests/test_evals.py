@@ -5,12 +5,15 @@ valid and big enough, every entry's file still matches its recorded
 fingerprint, the stratified CI slice is deterministic, scoring results are
 reproducible functions of the seed, and the scorecard comparison logic
 flags exactly the regressions it documents.  The committed
-``results/EVALS_8.json`` itself is validated for shape and corpus
+``results/EVALS.json`` itself is validated for shape and corpus
 agreement (its numbers are re-derived in CI by ``python -m repro.evals
 check``, not here — tier-1 stays fast).
 """
 
+import importlib.util
 import json
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -241,3 +244,32 @@ def test_committed_scorecard_matches_corpus():
     # The markdown rendering is committed alongside and reflects the JSON.
     markdown = SCORECARD_MD.read_text()
     assert f"seed {document['seed']}" in markdown
+
+
+def test_results_files_named_by_ci_and_src_are_tracked():
+    """Every ``results/`` file CI or the library names exists and is committed.
+
+    A gate that reads an untracked baseline passes locally and fails on a
+    clean checkout; benchmark runs write untracked files that nothing names.
+    """
+    texts = [(REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()]
+    texts += [path.read_text() for path in sorted((REPO_ROOT / "src").rglob("*.py"))]
+    named = {
+        match for text in texts for match in re.findall(r"results/[\w.-]+\.(?:json|md|txt)", text)
+    }
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "results"], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+        ).stdout.split()
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    assert "results/EVALS.json" in named
+    assert sorted(name for name in named if name not in listed or not (REPO_ROOT / name).exists()) == []
+    # The benchmark suite's run file is none of them, and git ignores it.
+    spec = importlib.util.spec_from_file_location("bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py")
+    bench_conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_conftest)
+    run_file = bench_conftest.BENCH_JSON.relative_to(REPO_ROOT).as_posix()
+    assert run_file not in listed and run_file not in named
+    ignored = subprocess.run(["git", "check-ignore", "-q", run_file], cwd=REPO_ROOT)
+    assert ignored.returncode == 0
