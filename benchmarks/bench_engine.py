@@ -12,26 +12,20 @@ cheaper, and this benchmark is the regression guard):
 * the geometry kernel against the scalar hot-path checks (≥3x);
 * the compiled-artifact cache: warm-path scenario construction must be
   ≥10x faster than a cold compile (lexer+parser+interpreter);
-* the generation service's warm-path throughput: the columnar shard
-  transport + adaptive sampling rework must clear ≥10x the BENCH_6
-  baseline (7.7 scenes/s), with streamed frames reassembling bit-identical
-  to the blocking response;
+* the generation service's warm-path throughput must clear the service
+  floor committed in ``results/BENCH.json`` (77 scenes/s), with streamed
+  frames reassembling bit-identical to the blocking response;
 * the direct synthesis strategy: constructive sampling from the pruned
   feasible region must draw ≥10x fewer candidates than vectorized
-  rejection on the containment-heavy scenario;
-* the numba geometry backend (when installed — the CI ``backends`` job):
-  ≥5x over the numpy reference on the 20-object collision microbench,
-  measured after JIT warmup;
-* cross-request kernel fusion: one fused launch over 64 concurrent
-  single-candidate requests vs 64 per-request launches (≥3.5x), with the
-  sliced-back results bit-identical.
+  rejection on the containment-heavy scenario.
 
 Headline numbers are also written to the untracked run file
 ``conftest.BENCH_JSON`` (see ``conftest.save_bench_json``), to diff against
-the committed baselines under ``results/``.
+the committed baseline ``results/BENCH.json``.
 """
 
 import asyncio
+import json
 import random
 import time
 
@@ -46,7 +40,7 @@ from repro.geometry.polygon import Polygon, polygons_intersect
 from repro.language import ArtifactCache, compile_scenario
 from repro.sampling import SamplerEngine
 
-from conftest import save_bench_json, save_result
+from conftest import BENCH_BASELINE, save_bench_json, save_result
 
 
 def containment_heavy_scenario(object_count: int = 4):
@@ -92,7 +86,7 @@ def test_batch_sampler_beats_rejection_on_containment(benchmark, record_result):
     rows = benchmark.pedantic(
         lambda: [
             _run_strategy(name)
-            for name in ("rejection", "batch", "parallel", "vectorized")
+            for name in ("rejection", "batch", "vectorized")
         ],
         rounds=1,
         iterations=1,
@@ -240,7 +234,7 @@ def test_auto_pruning_beats_containment_only(benchmark, record_result, record_be
     baseline; *auto* pruning additionally runs Algorithm 2 with the
     analyzer's derived arc and distance bound.  The acceptance criterion is
     >= 2x fewer rejected candidate scenes; per-technique area ratios land in
-    ``results/BENCH_6.json``.
+    the benchmark run file.
     """
     from repro.language import compile_scenario as compile_artifact
     from repro.sampling import PruningAwareSampler
@@ -424,152 +418,6 @@ def test_vectorized_kernel_beats_scalar_geometry(benchmark, record_result):
     assert speedup >= 3.0, f"kernel only {speedup:.2f}x faster than scalar"
 
 
-def _collision_workload(candidate_count=400, object_count=20, seed=0):
-    """The 20-object collision microbench input: (K, N, 4, 2) corner stacks."""
-    rng = random.Random(seed)
-    scenes = [
-        [
-            Object._make(
-                position=(rng.uniform(-18, 18), rng.uniform(-18, 18)),
-                heading=rng.uniform(-3.14, 3.14),
-                width=rng.uniform(1.5, 4.0),
-                height=rng.uniform(1.5, 4.0),
-                allowCollisions=False,
-            )
-            for _ in range(object_count)
-        ]
-        for _ in range(candidate_count)
-    ]
-    return np.stack([kernel.corners_array(objects) for objects in scenes])
-
-
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def test_numba_backend_beats_numpy_reference(benchmark, record_result, record_bench_json):
-    """The numba backend must be >=5x the numpy reference on 20-object scenes.
-
-    Baseline-relative: both sides run the identical ``batch_collision_free``
-    workload (400 candidate scenes x 20 objects) in this process, so the
-    bound holds on any machine.  The first numba call pays the JIT compile
-    and is excluded (one warmup invocation before timing).  Where numba is
-    not installed the availability is still recorded and the test skips —
-    the CI ``backends`` job installs numba and enforces the bound for real.
-    """
-    import pytest
-
-    from repro.geometry.backends import available_backends, get_backend
-
-    corners = _collision_workload()
-    numba_available = "numba" in available_backends()
-    payload = {
-        "numba_available": numba_available,
-        "candidates": int(corners.shape[0]),
-        "objects": int(corners.shape[1]),
-    }
-    if not numba_available:
-        record_bench_json("numba_backend", payload)
-        record_result(
-            "numba_backend",
-            "numba not installed in this environment; backend registered but\n"
-            "unavailable — the CI 'backends' job measures and enforces the\n"
-            ">=5x bound with numba present.",
-        )
-        pytest.skip("numba not installed; speedup enforced in the CI backends job")
-
-    numpy_backend = get_backend("numpy")
-    numba_backend = get_backend("numba")
-    numba_backend.batch_collision_free(corners[:2])  # JIT warmup, untimed
-
-    numpy_seconds, reference = benchmark.pedantic(
-        lambda: _best_of(lambda: numpy_backend.batch_collision_free(corners)),
-        rounds=1,
-        iterations=1,
-    )
-    numba_seconds, result = _best_of(lambda: numba_backend.batch_collision_free(corners))
-    assert result.tolist() == reference.tolist()  # same verdicts, scene for scene
-
-    speedup = numpy_seconds / numba_seconds
-    payload.update(
-        numpy_seconds=numpy_seconds, numba_seconds=numba_seconds, speedup=speedup
-    )
-    record_bench_json("numba_backend", payload)
-    record_result(
-        "numba_backend",
-        f"numpy backend: {numpy_seconds * 1000:8.2f} ms\n"
-        f"numba backend: {numba_seconds * 1000:8.2f} ms\n"
-        f"speedup:       {speedup:8.1f}x\n"
-        f"\n{corners.shape[0]} candidate scenes x {corners.shape[1]} objects, "
-        "JIT warmup excluded;\nverdicts bit-identical to the numpy reference.",
-    )
-    assert speedup >= 5.0, f"numba backend only {speedup:.2f}x over numpy"
-
-
-def test_cross_request_fusion_amortizes_launch_overhead(
-    benchmark, record_result, record_bench_json
-):
-    """One fused launch for a 64-request tick must be >=3.5x the serial calls.
-
-    The service-shaped workload: 64 concurrent requests each holding a
-    single 20-object candidate block (the ``workers=0`` fusion tick at its
-    finest granularity, where per-call overhead dominates arithmetic).
-    Serial = 64 separate ``batch_collision_free`` launches; fused = the
-    exact concatenate → one launch → slice-back sequence
-    ``FusionHub._run_group`` performs.  The sliced results must equal the
-    serial ones element for element — the determinism contract the fusion
-    test suite pins end to end.
-    """
-    from repro.geometry.backends import get_backend
-
-    request_count, object_count = 64, 20
-    backend = get_backend("numpy")
-    blocks = [
-        _collision_workload(candidate_count=1, object_count=object_count, seed=seed)
-        for seed in range(request_count)
-    ]
-
-    def serial_pass():
-        return [backend.batch_collision_free(block) for block in blocks]
-
-    def fused_pass():
-        fused = backend.batch_collision_free(np.concatenate(blocks))
-        return [fused[index : index + 1] for index in range(request_count)]
-
-    serial_seconds, serial_results = benchmark.pedantic(
-        lambda: _best_of(serial_pass), rounds=1, iterations=1
-    )
-    fused_seconds, fused_results = _best_of(fused_pass)
-    assert [r.tolist() for r in fused_results] == [r.tolist() for r in serial_results]
-
-    speedup = serial_seconds / fused_seconds
-    record_result(
-        "fusion_tick",
-        f"serial launches: {serial_seconds * 1000:8.2f} ms  ({request_count} calls)\n"
-        f"fused launch:    {fused_seconds * 1000:8.2f} ms  (1 call)\n"
-        f"speedup:         {speedup:8.1f}x\n"
-        f"\n{request_count} single-candidate requests x {object_count} objects "
-        "per tick;\nper-request slices bit-identical to the serial results.",
-    )
-    record_bench_json(
-        "fusion_tick",
-        {
-            "requests": request_count,
-            "objects": object_count,
-            "serial_seconds": serial_seconds,
-            "fused_seconds": fused_seconds,
-            "speedup": speedup,
-        },
-    )
-    assert speedup >= 3.5, f"fused tick only {speedup:.2f}x over per-request launches"
-
-
 def test_compiled_artifact_cache_warm_vs_cold(benchmark, record_result, record_bench_json):
     """Warm-path scenario construction must be >= 10x faster than cold compile.
 
@@ -640,22 +488,16 @@ def test_compiled_artifact_cache_warm_vs_cold(benchmark, record_result, record_b
     assert speedup >= 10.0, f"warm path only {speedup:.1f}x faster than cold compile"
 
 
-#: BENCH_6's recorded warm-path service throughput (scenes/s), the baseline
-#: the transport rework is measured against.  Kept inline so the assertion
-#: survives even if results/BENCH_6.json is pruned from a checkout.
-BENCH_6_SERVICE_SCENES_PER_SECOND = 7.7
-
-
 def test_service_throughput(benchmark, record_result, record_bench_json):
-    """Warm-path generation-service throughput: ≥10x the BENCH_6 baseline.
+    """Warm-path generation-service throughput: at least the service floor.
 
     Measures a sharded 60-scene request against a 2-process pool after a
     warm-up request (workers hold the compiled artifact and a bound engine,
     shards travel as columnar blocks over shared memory), then replays the
     same request through :meth:`GenerationService.generate_stream` and
     asserts the reassembled frames are bit-identical to the blocking
-    response.  The ≥10x bound is against BENCH_6's 7.7 scenes/s — the
-    rework's point was that serving overhead, not sampling, dominated.
+    response.  The floor (scenes/s) is the one ``python -m repro.service
+    bench --check results/BENCH.json`` gates on.
     """
     from repro.service import GenerationService
 
@@ -701,14 +543,15 @@ def test_service_throughput(benchmark, record_result, record_bench_json):
     assert block_frames == response.stats["shards"]
 
     throughput = scene_count / warm_request
-    speedup = throughput / BENCH_6_SERVICE_SCENES_PER_SECOND
+    committed = json.loads(BENCH_BASELINE.read_text())["benchmarks"]["service_throughput"]
+    floor = committed["floor_scenes_per_second"]
     record_result(
         "service_throughput",
         f"cold request (2 scenes, compile + first sample): {cold_request * 1e3:8.1f} ms\n"
         f"warm request ({scene_count} scenes, vectorized): {warm_request * 1e3:8.1f} ms\n"
         f"streamed request (same seed, reassembled):   {stream_request * 1e3:8.1f} ms\n"
         f"throughput:                    {throughput:8.1f} scenes/s"
-        f"  ({speedup:.1f}x BENCH_6's {BENCH_6_SERVICE_SCENES_PER_SECOND} scenes/s)\n"
+        f"  (floor {floor} scenes/s)\n"
         f"worker cache hits: {response.stats['worker_cache_hits']}/{response.stats['shards']}"
         f" shards, workers: {len(response.stats['workers'])}\n"
         "\n2-process pool, shared-memory columnar shard transport, splitmix64"
@@ -723,34 +566,13 @@ def test_service_throughput(benchmark, record_result, record_bench_json):
             "warm_request_seconds": warm_request,
             "stream_request_seconds": stream_request,
             "scenes_per_second": throughput,
-            "bench6_scenes_per_second": BENCH_6_SERVICE_SCENES_PER_SECOND,
-            "speedup_vs_bench6": speedup,
+            "floor_scenes_per_second": floor,
             "stream_parity": streamed == response.scenes,
             "workers": 2,
             "strategy": "vectorized",
             "transport": "shm",
         },
     )
-    # The issue's acceptance criterion: ≥10x the BENCH_6 baseline.
-    assert speedup >= 10.0, (
-        f"service throughput {throughput:.1f} scenes/s is only {speedup:.1f}x "
-        f"the BENCH_6 baseline ({BENCH_6_SERVICE_SCENES_PER_SECOND} scenes/s)"
+    assert throughput >= floor, (
+        f"service throughput {throughput:.1f} scenes/s is below the floor {floor} scenes/s"
     )
-
-
-def test_parallel_sampler_is_deterministic(benchmark):
-    """The merged batch is a pure function of the seed, not the worker count."""
-    scenario_source = scenarios.two_cars()
-
-    def batch_positions(workers):
-        scenario = scenarios.compile_scenario(scenario_source)
-        engine = SamplerEngine(scenario, "parallel", workers=workers)
-        batch = engine.sample_batch(6, seed=11, max_iterations=20000)
-        return [
-            tuple(round(coordinate, 9) for coordinate in scenic_object.to_vector())
-            for scene in batch
-            for scenic_object in scene.objects
-        ]
-
-    first = benchmark.pedantic(lambda: batch_positions(1), rounds=1, iterations=1)
-    assert first == batch_positions(4)

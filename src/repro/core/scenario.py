@@ -156,7 +156,7 @@ class Scenario:
         A thin wrapper over :class:`repro.sampling.SamplerEngine`: *strategy*
         selects a registered sampling strategy (``"rejection"`` — the
         default, draw-for-draw identical to the historical behaviour —
-        ``"pruning"``, ``"batch"`` or ``"parallel"``) and *strategy_options*
+        ``"pruning"``, ``"vectorized"``, ...) and *strategy_options*
         are forwarded to it.  Engines are cached per (strategy, options), so
         bind-time analysis (the pruning pass, the dependency graph) runs
         once per scenario rather than once per call.  Raises

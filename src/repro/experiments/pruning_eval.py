@@ -72,7 +72,7 @@ def measure_sampling(
 
     Sampling goes through :class:`repro.sampling.SamplerEngine`, so any
     registered strategy (``"rejection"``, ``"pruning"``, ``"batch"``,
-    ``"parallel"``, ``"pruned-vectorized"``) can be measured; per-scene
+    ``"pruned-vectorized"``, ...) can be measured; per-scene
     diagnostics come from the engine's aggregate stats.
     """
     engine = SamplerEngine(scenario, strategy=strategy, **strategy_options)

@@ -45,14 +45,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             names = ", ".join(("inline",) + registered_worlds(include_aliases=True))
             print(f"--world {args.world}: unknown world (try one of: {names})", file=sys.stderr)
             return 2
-    if args.backend is not None:
-        from repro.geometry.backends import get_backend
-
-        try:
-            get_backend(args.backend)  # fail fast with the registry's message
-        except Exception as error:  # noqa: BLE001 - CLI boundary
-            print(f"--backend {args.backend}: {error}", file=sys.stderr)
-            return 2
     regression_dir = None
     if args.out is not None:
         regression_dir = Path(args.out)
@@ -69,7 +61,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
         statistical=args.equivalence,
         equivalence_samples=args.equivalence_samples,
-        backend=args.backend,
         world=args.world,
     )
     result = run_campaign(config, corpus=_corpus_sources(), progress=print)
@@ -141,12 +132,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--equivalence-samples", type=int, default=120,
         help="scenes per strategy for the oracle E comparison",
-    )
-    parser.add_argument(
-        "--backend", type=str, default=None, metavar="NAME",
-        help="geometry-kernel backend to sample under (numpy/numba/jax/auto; "
-        "see docs/backends.md).  The kernel oracle always cross-checks every "
-        "available backend; this drives the sampling hot path through one.",
     )
     parser.add_argument(
         "--world", type=str, default=None, metavar="NAME",

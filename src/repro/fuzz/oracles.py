@@ -4,8 +4,8 @@ Four oracles are run against every valid generated program:
 
 * **Strategy equivalence** — every registered sampling strategy is given a
   fresh compile of the program and the same seed.  The strategies that share
-  the rejection RNG-stream contract (``rejection``, ``vectorized``,
-  ``parallel``; see the golden corpus notes in ``tests/golden/regen.py``)
+  the rejection RNG-stream contract (``rejection`` and ``vectorized``; see
+  the golden corpus notes in ``tests/golden/regen.py``)
   must produce bit-identical scenes whenever the program has no soft
   requirements; the remaining strategies (``pruning``, ``batch``) consume
   the stream differently by design but must still accept whenever rejection
@@ -75,7 +75,7 @@ from .program_gen import GeneratedProgram, PlannedCheck
 
 #: Strategies whose per-seed scenes must coincide exactly when the program
 #: has no soft requirements (they consume the RNG stream identically).
-EXACT_EQUIVALENCE_STRATEGIES = ("rejection", "vectorized", "parallel")
+EXACT_EQUIVALENCE_STRATEGIES = ("rejection", "vectorized")
 
 #: Numerical slack for scene comparisons, matching the golden corpus.
 TOLERANCE = 1e-9
@@ -364,40 +364,15 @@ def _probe_regions(scene, rng: random.Random):
 
 
 def check_kernel_equivalence(
-    scenario,
-    scene,
-    seed: int,
-    points_per_region: int = 64,
-    backends_to_check: Optional[Sequence[str]] = None,
+    scenario, scene, seed: int, points_per_region: int = 64
 ) -> List[str]:
     """Cross-check the batched kernel against the scalar geometry on *scene*.
 
-    The scalar geometry (``Region.contains_point``, ``Object.intersects``) is
-    the oracle; the batched kernel is exercised once per backend in
-    *backends_to_check* — by default every **available** registered backend
-    (numpy always; numba/jax when installed), activated via
-    :func:`repro.geometry.backends.use_backend` so the dispatching kernel
-    facade routes through it.  Problems are prefixed with the backend name
-    so a find attributes to the right implementation.
+    The scalar geometry (``Region.contains_point``, ``Region.contains_object``,
+    ``Object.intersects``) is the oracle for the kernel's point containment,
+    object containment and pairwise collisions, on the workspace and on
+    synthetic probe regions around the scene.
     """
-    from ..geometry import backends as _backends
-
-    if backends_to_check is None:
-        backends_to_check = _backends.available_backends()
-    problems: List[str] = []
-    for backend_name in backends_to_check:
-        with _backends.use_backend(backend_name):
-            for problem in _check_kernel_equivalence_on_active(
-                scenario, scene, seed, points_per_region
-            ):
-                problems.append(f"[{backend_name}] {problem}")
-    return problems
-
-
-def _check_kernel_equivalence_on_active(
-    scenario, scene, seed: int, points_per_region: int
-) -> List[str]:
-    """One backend's worth of kernel-vs-scalar cross-checks (the active one)."""
     problems: List[str] = []
     rng = random.Random(seed ^ 0x5EED5EED)
     positions = [Vector.from_any(obj.position) for obj in scene.objects]
@@ -763,25 +738,15 @@ def run_oracles(
     # The reference strategy runs first; when it exhausts its budget, only
     # the strategies sharing its RNG-stream contract are cross-checked (they
     # must exhaust it too), and the program is otherwise skipped as
-    # infeasible-under-budget.  ``parallel`` single draws delegate to
-    # rejection verbatim, so re-running them on the reject path is skipped.
+    # infeasible-under-budget.
     names = [s if isinstance(s, str) else s.name for s in strategy_set]
     reference_name = "rejection" if "rejection" in names else names[0]
     ordered = sorted(strategy_set, key=lambda s: (s if isinstance(s, str) else s.name) != reference_name)
     reference_accepted = True
-    # A single ``parallel`` draw delegates to rejection verbatim, so running
-    # it on every program doubles the reference work for little new signal;
-    # with the default strategy set it joins one program in four
-    # (deterministically by seed), which still covers the contract across a
-    # campaign.  Explicit strategy lists are always honoured in full.
-    thin_parallel = strategies is None and seed % 4 != 0
     for strategy in ordered:
         name = strategy if isinstance(strategy, str) else strategy.name
-        if name == "parallel" and thin_parallel:
+        if not reference_accepted and name not in EXACT_EQUIVALENCE_STRATEGIES:
             continue
-        if not reference_accepted:
-            if name not in EXACT_EQUIVALENCE_STRATEGIES or name == "parallel":
-                continue
         scenario, scene = sample_with(strategy, max_iterations)
         if report.failures or report.verdict == "skip":
             return report

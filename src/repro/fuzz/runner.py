@@ -58,12 +58,6 @@ class CampaignConfig:
     #: on every valid program — batch-sized, so opt-in (``--equivalence``).
     statistical: bool = False
     equivalence_samples: int = 120
-    #: Geometry-kernel backend the campaign *samples* under (``--backend``;
-    #: see ``docs/backends.md``).  None keeps the process default (numpy).
-    #: The kernel-equivalence oracle independently cross-checks every
-    #: available backend regardless of this setting; selecting numba/jax
-    #: here additionally drives the whole sampling hot path through it.
-    backend: Optional[str] = None
     #: Pin every generated program to one registered world (``--world``;
     #: ``inline`` = no world import).  None keeps the generator's weighted
     #: world mix.
@@ -170,23 +164,6 @@ def run_campaign(
     hook the corpus pipeline (:mod:`repro.evals.promote`) uses to harvest
     known-good programs from a campaign instead of re-generating them.
     """
-    if config.backend is not None:
-        # Activate the requested backend for the whole campaign (sampling
-        # and oracles alike), then recurse with it cleared; use_backend
-        # restores the previous process default on the way out.
-        from dataclasses import replace
-
-        from ..geometry import backends as _geometry_backends
-
-        with _geometry_backends.use_backend(config.backend):
-            return run_campaign(
-                replace(config, backend=None),
-                corpus=corpus,
-                oracle=oracle,
-                progress=progress,
-                collector=collector,
-            )
-
     oracle = oracle or run_oracles
     result = CampaignResult(config=config)
     start = time.perf_counter()

@@ -26,14 +26,11 @@ test uses closed intervals (touching counts as overlap, exactly like
 ray-casting code operation for operation, so results are bit-identical away
 from ~1-ulp boundary coincidences.
 
-Since PR 9 the *compute* lives in pluggable backends
-(:mod:`repro.geometry.backends`): this module keeps the coercion helpers and
-region dispatch, while :func:`points_in_polygon`, :func:`objects_contained`,
-:func:`pairwise_collisions` and :func:`batch_collision_free` forward to the
-process-global active backend (numpy by default — same code as before, moved
-verbatim, so results are unchanged bit for bit).  Select backends globally
-with :func:`repro.geometry.backends.use_backend` or per engine with
-``SamplerEngine(..., backend=...)``.
+The four batched predicates are the methods of :class:`NumpyKernel`;
+:data:`KERNEL` is its one instance and the module-level
+:func:`points_in_polygon`, :func:`objects_contained`,
+:func:`pairwise_collisions` and :func:`batch_collision_free` call it.
+``docs/geometry.md`` states the contract.
 """
 
 from __future__ import annotations
@@ -136,20 +133,6 @@ def contains_points(region: Any, points: Any) -> np.ndarray:
     )
 
 
-def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Vectorized ray casting; boundary points count as inside.
-
-    Dispatches to the active backend.  The numpy reference implementation
-    (:class:`~repro.geometry.backends.numpy_backend.NumpyBackend`) evaluates
-    the scalar reference, :func:`repro.geometry.polygon.point_in_polygon`
-    (the edge-table loop behind every ``Polygon.contains_point``), for all
-    points at once with one numpy pass per polygon edge.
-    """
-    from . import backends
-
-    return backends.active_backend().points_in_polygon(vertices, points)
-
-
 # ---------------------------------------------------------------------------
 # object containment
 # ---------------------------------------------------------------------------
@@ -165,20 +148,6 @@ def region_supports_batch_objects(region: Any) -> bool:
 
     contains = getattr(type(region), "contains_object", None)
     return contains is Region.contains_object
-
-
-def objects_contained(region: Any, corners: np.ndarray) -> np.ndarray:
-    """Containment of ``N`` objects (given their ``(N, 4, 2)`` corners).
-
-    Evaluates the default ``Region.contains_object`` semantics — all four
-    corners and all four edge midpoints inside — in one batched containment
-    query, dispatched to the active backend.  Only valid for regions where
-    :func:`region_supports_batch_objects` holds; callers keep the scalar
-    path otherwise.
-    """
-    from . import backends
-
-    return backends.active_backend().objects_contained(region, corners)
 
 
 # ---------------------------------------------------------------------------
@@ -218,42 +187,192 @@ def aabbs_of(corners: np.ndarray) -> np.ndarray:
     return np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
 
 
+# ---------------------------------------------------------------------------
+# the kernel: the four batched predicates
+# ---------------------------------------------------------------------------
+
+
+class NumpyKernel:
+    """The four batched predicates, vectorized with numpy.
+
+    One instance, :data:`KERNEL`, serves the whole process; the module-level
+    functions below look it up at call time, so wrapping a method on this
+    class (a profiler, a planted fault in a test) reaches every caller.
+    """
+
+    name = "numpy"
+
+    def points_in_polygon(self, vertices: Any, points: Any) -> np.ndarray:
+        """Vectorized ray casting; boundary points count as inside.
+
+        The scalar reference, :func:`repro.geometry.polygon.point_in_polygon`
+        (the edge-table loop behind every ``Polygon.contains_point``), evaluated
+        for all points at once with one numpy pass per polygon edge that
+        mirrors the edge table's on-edge and ray-crossing expressions.  A
+        zero-length edge is skipped, as the edge table skips it: it is neither
+        an on-edge hit nor a ray crossing, and its neighbours cover its vertex.
+        """
+        vertices = np.asarray(vertices, dtype=float)
+        pts = as_points(points)
+        x, y = pts[:, 0], pts[:, 1]
+        count = len(vertices)
+        inside = np.zeros(len(pts), dtype=bool)
+        on_edge = np.zeros(len(pts), dtype=bool)
+        j = count - 1
+        for i in range(count):
+            xi, yi = vertices[i]
+            xj, yj = vertices[j]
+            j = i
+            # Boundary check (the edge table's on-edge test, a=v_i, b=v_j).
+            edge_x, edge_y = xj - xi, yj - yi
+            if edge_x == 0.0 and edge_y == 0.0:
+                continue
+            length_sq = edge_x * edge_x + edge_y * edge_y
+            tolerance = 1e-9 * max(1.0, float(np.hypot(edge_x, edge_y)))
+            cross = edge_x * (y - yi) - edge_y * (x - xi)
+            dot = (x - xi) * edge_x + (y - yi) * edge_y
+            on_edge |= (np.abs(cross) <= tolerance) & (dot >= -1e-9) & (dot <= length_sq + 1e-9)
+            # Ray crossing (same expression as the scalar code, v_i/v_j swapped
+            # roles preserved: slope_x anchored at v_j).
+            crosses = (yi > y) != (yj > y)
+            if crosses.any():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    slope_x = xj + (y - yj) * (xi - xj) / (yi - yj)
+                inside ^= crosses & (x < slope_x)
+        return inside | on_edge
+
+    def objects_contained(self, region: Any, corners: Any) -> np.ndarray:
+        """Containment of ``N`` objects (given their ``(N, 4, 2)`` corners).
+
+        The default ``Region.contains_object`` semantics — all four corners
+        and all four edge midpoints inside — in one batched containment
+        query.  Only valid for regions where
+        :func:`region_supports_batch_objects` holds; callers keep the scalar
+        path otherwise.
+        """
+        corners = np.asarray(corners, dtype=float)
+        n = corners.shape[0]
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        test_points = object_test_points(corners).reshape(-1, 2)
+        inside = contains_points(region, test_points).reshape(n, 8)
+        return inside.all(axis=1)
+
+    def pairwise_collisions(
+        self,
+        corners: Any,
+        collidable: Optional[np.ndarray] = None,
+        grid_threshold: int = GRID_PAIR_THRESHOLD,
+    ) -> np.ndarray:
+        """All overlapping object pairs as an ``(M, 2)`` array of index pairs.
+
+        *corners* is ``(N, 4, 2)``; *collidable* optionally masks objects out of
+        the check (``allowCollisions`` objects).  For ``N >= grid_threshold`` the
+        candidate pairs come from a uniform :class:`SpatialGrid` instead of the
+        full upper triangle, pruning the O(n²) enumeration.  Pairs are returned
+        in lexicographic order with ``i < j``, matching the scalar nested loop.
+        """
+        corners = np.asarray(corners, dtype=float)
+        n = corners.shape[0]
+        if n < 2:
+            return np.zeros((0, 2), dtype=int)
+        if collidable is None:
+            collidable_mask = np.ones(n, dtype=bool)
+        else:
+            collidable_mask = np.asarray(collidable, dtype=bool)
+        boxes = aabbs_of(corners)
+        if n >= grid_threshold:
+            from .spatial_index import SpatialGrid
+
+            pairs = SpatialGrid(boxes).candidate_pairs()
+        else:
+            row, col = np.triu_indices(n, k=1)
+            pairs = np.stack([row, col], axis=1)
+        if len(pairs) == 0:
+            return np.zeros((0, 2), dtype=int)
+        i, j = pairs[:, 0], pairs[:, 1]
+        keep = collidable_mask[i] & collidable_mask[j]
+        # Closed-interval AABB prefilter, identical to BoundingBox.intersects.
+        keep &= ~(
+            (boxes[i, 2] < boxes[j, 0])
+            | (boxes[j, 2] < boxes[i, 0])
+            | (boxes[i, 3] < boxes[j, 1])
+            | (boxes[j, 3] < boxes[i, 1])
+        )
+        pairs = pairs[keep]
+        if len(pairs) == 0:
+            return pairs
+        hits = quads_overlap(corners[pairs[:, 0]], corners[pairs[:, 1]])
+        return pairs[hits]
+
+    def batch_collision_free(
+        self, corners: Any, collidable: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Collision-freedom of ``K`` candidate scenes at once.
+
+        *corners* is ``(K, N, 4, 2)`` (same object count per candidate, as
+        produced by concretizing one scenario ``K`` times); *collidable* is an
+        optional ``(K, N)`` mask.  Returns a boolean ``(K,)`` array that is True
+        where no collidable pair overlaps — the bulk form of
+        ``no_pairwise_collisions`` used by the vectorized sampling strategy.
+        """
+        corners = np.asarray(corners, dtype=float)
+        k, n = corners.shape[0], corners.shape[1]
+        if k == 0:
+            return np.zeros(0, dtype=bool)
+        if n < 2:
+            return np.ones(k, dtype=bool)
+        row, col = np.triu_indices(n, k=1)
+        # Cheap AABB prefilter over every (candidate, pair): the exact SAT only
+        # runs on pairs whose bounds overlap — usually a small fraction.
+        mins = corners.min(axis=2)  # (K, N, 2)
+        maxs = corners.max(axis=2)
+        candidate = ~(
+            (maxs[:, row, 0] < mins[:, col, 0])
+            | (maxs[:, col, 0] < mins[:, row, 0])
+            | (maxs[:, row, 1] < mins[:, col, 1])
+            | (maxs[:, col, 1] < mins[:, row, 1])
+        )  # (K, P)
+        if collidable is not None:
+            mask = np.asarray(collidable, dtype=bool)
+            candidate &= mask[:, row] & mask[:, col]
+        scene_index, pair_index = np.nonzero(candidate)
+        if len(scene_index) == 0:
+            return np.ones(k, dtype=bool)
+        hits = quads_overlap(
+            corners[scene_index, row[pair_index]], corners[scene_index, col[pair_index]]
+        )
+        free = np.ones(k, dtype=bool)
+        free[scene_index[hits]] = False
+        return free
+
+
+#: The process's kernel instance.
+KERNEL = NumpyKernel()
+
+
+def points_in_polygon(vertices: Any, points: Any) -> np.ndarray:
+    """:meth:`NumpyKernel.points_in_polygon` on :data:`KERNEL`."""
+    return KERNEL.points_in_polygon(vertices, points)
+
+
+def objects_contained(region: Any, corners: Any) -> np.ndarray:
+    """:meth:`NumpyKernel.objects_contained` on :data:`KERNEL`."""
+    return KERNEL.objects_contained(region, corners)
+
+
 def pairwise_collisions(
-    corners: np.ndarray,
+    corners: Any,
     collidable: Optional[np.ndarray] = None,
     grid_threshold: int = GRID_PAIR_THRESHOLD,
 ) -> np.ndarray:
-    """All overlapping object pairs as an ``(M, 2)`` array of index pairs.
-
-    *corners* is ``(N, 4, 2)``; *collidable* optionally masks objects out of
-    the check (``allowCollisions`` objects).  For ``N >= grid_threshold`` the
-    candidate pairs come from a uniform :class:`SpatialGrid` instead of the
-    full upper triangle, pruning the O(n²) enumeration.  Pairs are returned
-    in lexicographic order with ``i < j``, matching the scalar nested loop.
-    Dispatches to the active backend.
-    """
-    from . import backends
-
-    return backends.active_backend().pairwise_collisions(
-        corners, collidable, grid_threshold=grid_threshold
-    )
+    """:meth:`NumpyKernel.pairwise_collisions` on :data:`KERNEL`."""
+    return KERNEL.pairwise_collisions(corners, collidable, grid_threshold=grid_threshold)
 
 
-def batch_collision_free(
-    corners: np.ndarray, collidable: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Collision-freedom of ``K`` candidate scenes at once.
-
-    *corners* is ``(K, N, 4, 2)`` (same object count per candidate, as
-    produced by concretizing one scenario ``K`` times); *collidable* is an
-    optional ``(K, N)`` mask.  Returns a boolean ``(K,)`` array that is True
-    where no collidable pair overlaps — the bulk form of
-    ``no_pairwise_collisions`` used by the vectorized sampling strategy.
-    Dispatches to the active backend.
-    """
-    from . import backends
-
-    return backends.active_backend().batch_collision_free(corners, collidable)
+def batch_collision_free(corners: Any, collidable: Optional[np.ndarray] = None) -> np.ndarray:
+    """:meth:`NumpyKernel.batch_collision_free` on :data:`KERNEL`."""
+    return KERNEL.batch_collision_free(corners, collidable)
 
 
 __all__ = [
@@ -267,6 +386,8 @@ __all__ = [
     "objects_contained",
     "quads_overlap",
     "aabbs_of",
+    "NumpyKernel",
+    "KERNEL",
     "pairwise_collisions",
     "batch_collision_free",
 ]

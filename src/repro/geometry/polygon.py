@@ -188,8 +188,9 @@ def _edge_table_xy(
     edges.  The reject box is the bounding box padded by twice the largest
     such distance plus 64 ulps of the largest coordinate (which covers the
     rounding of the ray-crossing abscissa), so rejecting outside it never
-    changes a verdict.  A zero-length edge accepts every point, so it turns
-    the reject box off.
+    changes a verdict.  A zero-length edge (a repeated vertex) gets no row:
+    it is neither on-edge for any other point nor a ray crossing, and the
+    edges on either side of it already cover its vertex.
     """
     tolerance = _ON_EDGE_TOLERANCE
     rows = []
@@ -198,14 +199,16 @@ def _edge_table_xy(
     for i in range(len(points)):
         ax, ay = points[i]
         bx, by = points[j]
+        j = i
         dx, dy = bx - ax, by - ay
+        if dx == 0.0 and dy == 0.0:
+            continue
         length = math.hypot(ax - bx, ay - by)
         threshold = tolerance * max(1.0, length)
         rows.append(
             (ax, ay, bx, by, dx, dy, threshold, dx ** 2 + dy ** 2 + tolerance, ax - bx, ay - by)
         )
-        reach = max(reach, (threshold + tolerance) / length if length > 0 else math.inf)
-        j = i
+        reach = max(reach, (threshold + tolerance) / length)
     min_x, min_y, max_x, max_y = _bounds_xy(points)
     margin = 2.0 * reach + 64.0 * math.ulp(max(-min_x, -min_y, max_x, max_y))
     return (min_x - margin, min_y - margin, max_x + margin, max_y + margin, tuple(rows))

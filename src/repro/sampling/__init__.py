@@ -10,8 +10,6 @@ strategies:
   (:mod:`repro.analysis`) when the scenario came from a compiled artifact;
 * ``"batch"`` (:class:`BatchSampler`) — dependency-aware batched candidates
   with partial resampling of independent object groups;
-* ``"parallel"`` (:class:`ParallelSampler`) — deterministic worker-pool
-  batches;
 * ``"vectorized"`` (:class:`VectorizedSampler`) — block candidate drawing
   with bulk geometric rejection through the numpy kernel
   (:mod:`repro.geometry.kernel`); the default for ``generate_batch``;
@@ -47,7 +45,6 @@ from .strategies import (
     BatchSampler,
     DirectFallbackSampler,
     DirectSampler,
-    ParallelSampler,
     PrunedVectorizedSampler,
     PruningAwareSampler,
     RejectionSampler,
@@ -70,7 +67,6 @@ __all__ = [
     "BatchSampler",
     "DirectFallbackSampler",
     "DirectSampler",
-    "ParallelSampler",
     "VectorizedSampler",
     "DependencyGraph",
     "ObjectGroup",

@@ -19,10 +19,6 @@ scenes; they differ in *how* candidates are proposed:
   collision) hold, which is distribution-preserving because the joint prior
   factorises over groups and those constraints touch one group only.
   Cross-group constraints still trigger a full restart.
-* :class:`ParallelSampler` — fans a batch out over a worker pool.  Each
-  scene index gets its own deterministically derived RNG, so the merged
-  batch is a pure function of the seed, independent of worker count and
-  thread scheduling.
 * :class:`VectorizedSampler` — draws a whole block of candidate scenes,
   then runs the containment and collision checks for the entire block in
   one pass through the numpy kernel (:mod:`repro.geometry.kernel`); the
@@ -57,7 +53,6 @@ from __future__ import annotations
 
 import random as _random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -68,7 +63,6 @@ from ..core.pruning import PruningReport, prune_scenario
 from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
-from ..geometry import backends as _backends
 from ..geometry.polygon import object_footprint, rings_intersect
 from .dependency import DependencyGraph, ObjectGroup, draw_plan
 from .stats import AggregateStats
@@ -87,7 +81,7 @@ _KERNEL_MIN_OBJECTS = 12
 
 
 def contained_in_workspace(
-    workspace, concrete_objects: List[Any], stats: GenerationStats, kernel: Optional[Any] = None
+    workspace, concrete_objects: List[Any], stats: GenerationStats
 ) -> bool:
     """Every object inside the workspace (counts a containment rejection).
 
@@ -96,8 +90,6 @@ def contained_in_workspace(
     ones); regions with custom ``contains_object`` semantics and scenes
     below ``_KERNEL_MIN_OBJECTS`` take the scalar path, which stops at the
     first object outside.  Accept/reject decisions are identical either way.
-    *kernel* pins a specific :class:`~repro.geometry.backends.KernelBackend`;
-    ``None`` uses the process-global active one.
     """
     if workspace.is_unbounded:
         return True
@@ -106,9 +98,8 @@ def contained_in_workspace(
         len(concrete_objects) >= _KERNEL_MIN_OBJECTS
         and _kernel.region_supports_batch_objects(workspace_region)
     ):
-        backend = kernel if kernel is not None else _backends.active_backend()
         corners = _kernel.corners_array(concrete_objects)
-        if bool(backend.objects_contained(workspace_region, corners).all()):
+        if bool(_kernel.objects_contained(workspace_region, corners).all()):
             return True
         stats.rejections_containment += 1
         return False
@@ -186,11 +177,10 @@ def check_builtin_requirements(
     concrete_objects: List[Any],
     concrete_ego: Any,
     stats: GenerationStats,
-    kernel: Optional[Any] = None,
 ) -> bool:
     """The three default requirements of Sec. 3 (containment, collision, visibility)."""
     return (
-        contained_in_workspace(scenario.workspace, concrete_objects, stats, kernel=kernel)
+        contained_in_workspace(scenario.workspace, concrete_objects, stats)
         and no_pairwise_collisions(concrete_objects, stats)
         and all_required_visible(concrete_objects, concrete_ego, stats)
     )
@@ -210,7 +200,7 @@ def check_user_requirements(
 
 
 def draw_candidate(
-    scenario: Scenario, rng: _random.Random, stats: GenerationStats, kernel: Optional[Any] = None
+    scenario: Scenario, rng: _random.Random, stats: GenerationStats
 ) -> Optional[Scene]:
     """Draw one candidate scene; return it if valid, ``None`` if rejected.
 
@@ -222,9 +212,7 @@ def draw_candidate(
     sample = Sample(rng)
     concrete_objects, concrete_ego, concrete_params = draw_plan(scenario).draw(sample)
 
-    if not check_builtin_requirements(
-        scenario, concrete_objects, concrete_ego, stats, kernel=kernel
-    ):
+    if not check_builtin_requirements(scenario, concrete_objects, concrete_ego, stats):
         return None
     if not check_user_requirements(scenario, sample, rng, stats):
         return None
@@ -254,13 +242,6 @@ class SamplingStrategy:
     #: strategies leave the weight at its exact default of 1.0 and record
     #: no weight at all.
     uses_importance_weights = False
-
-    #: Geometry-kernel backend pinned to this strategy instance
-    #: (:class:`~repro.geometry.backends.KernelBackend` or ``None``).  Set
-    #: by ``SamplerEngine(backend=...)``; ``None`` defers every kernel call
-    #: to the process-global active backend at call time, so `use_backend`
-    #: scopes keep working.
-    kernel: Optional[Any] = None
 
     def bind(self, scenario: Scenario) -> None:
         """One-time, per-scenario analysis (pruning, dependency graphs, ...).
@@ -360,7 +341,7 @@ class RejectionSampler(SamplingStrategy):
     name = "rejection"
 
     def _draw_candidate(self, scenario, rng, stats):
-        return draw_candidate(scenario, rng, stats, kernel=self.kernel)
+        return draw_candidate(scenario, rng, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +458,9 @@ class BatchSampler(SamplingStrategy):
         self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
     ) -> bool:
         concrete = [scenic_object._concretize(sample) for scenic_object in group.objects]
-        return contained_in_workspace(
-            scenario.workspace, concrete, stats, kernel=self.kernel
-        ) and no_pairwise_collisions(concrete, stats)
+        return contained_in_workspace(scenario.workspace, concrete, stats) and (
+            no_pairwise_collisions(concrete, stats)
+        )
 
     def _draw_group(
         self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
@@ -526,73 +507,6 @@ class BatchSampler(SamplingStrategy):
             pair_filter=lambda index, jndex: graph.independent(sources[index], sources[jndex]),
         ) and all_required_visible(concrete_objects, concrete_ego, stats)
 
-
-
-# ---------------------------------------------------------------------------
-# Parallel batch sampling
-# ---------------------------------------------------------------------------
-
-
-@register_strategy
-class ParallelSampler(SamplingStrategy):
-    """Worker-pool batch sampling with per-scene seeded RNGs.
-
-    Determinism contract: before any work is dispatched, one 64-bit seed per
-    scene index is drawn from the caller's RNG.  Worker threads then sample
-    scene *i* with ``Random(seed_i)`` and results are merged by index, so
-    the batch depends only on the caller's seed — not on the number of
-    workers or on scheduling.  (``ParallelSampler(workers=1)`` and
-    ``workers=8`` produce identical batches.)
-
-    Performance caveat: on a stock (GIL) CPython build, threads give *no*
-    wall-time speedup for this pure-Python, CPU-bound workload — the value
-    today is the deterministic sharding contract, which also holds on
-    free-threaded builds and for base strategies that release the GIL
-    (e.g. future native candidate evaluators).  For wall-time wins on
-    stock CPython, use ``BatchSampler`` or ``PruningAwareSampler``.
-    """
-
-    name = "parallel"
-
-    def __init__(self, workers: int = 4, base_strategy: str = "rejection", **base_options: Any):
-        self.workers = max(1, int(workers))
-        self.base = make_strategy(base_strategy, **base_options)
-
-    def bind(self, scenario):
-        if self.kernel is not None and self.base.kernel is None:
-            self.base.kernel = self.kernel  # engine-pinned backend reaches the base
-        self.base.bind(scenario)
-
-    def sample(self, scenario, max_iterations, rng):
-        self.bind(scenario)
-        return self.base.sample(scenario, max_iterations, rng)
-
-    def sample_batch(self, scenario, count, max_iterations, rng, aggregate):
-        self.bind(scenario)
-        seeds = [rng.getrandbits(64) for _ in range(count)]
-
-        def draw(index: int) -> Tuple[Optional[Scene], GenerationStats]:
-            worker_rng = _random.Random(seeds[index])
-            return self.base.sample(scenario, max_iterations, worker_rng)
-
-        scenes: List[Scene] = []
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(draw, index) for index in range(count)]
-            try:
-                for future in futures:  # merged strictly in index order
-                    scene, stats = future.result()
-                    aggregate.record(stats, self.name, accepted=scene is not None)
-                    if scene is None:
-                        raise RejectionError(max_iterations)
-                    scenes.append(scene)
-            except RejectionError:
-                # Don't burn the rest of the batch's budget on a batch that
-                # already failed: queued draws are cancelled (in-flight ones
-                # finish, unrecorded).
-                for future in futures:
-                    future.cancel()
-                raise
-        return scenes
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +618,6 @@ class VectorizedSampler(SamplingStrategy):
         live = [index for index, candidate in enumerate(candidates) if candidate is not None]
         if not live:
             return failures
-        backend = self.kernel if self.kernel is not None else _backends.active_backend()
         corners = np.stack(
             [_kernel.corners_array(candidates[index][1]) for index in live]
         )  # (K, n, 4, 2)
@@ -712,7 +625,7 @@ class VectorizedSampler(SamplingStrategy):
         if not workspace.is_unbounded:
             region = workspace.region
             if _kernel.region_supports_batch_objects(region):
-                per_object = backend.objects_contained(
+                per_object = _kernel.objects_contained(
                     region, corners.reshape(-1, 4, 2)
                 ).reshape(len(live), -1)
                 contained = per_object.all(axis=1)
@@ -749,7 +662,7 @@ class VectorizedSampler(SamplingStrategy):
                 for index in live
             ]
         )
-        collision_free = backend.batch_collision_free(corners, collidable)
+        collision_free = _kernel.batch_collision_free(corners, collidable)
         for position, index in enumerate(live):
             if not collision_free[position]:
                 failures[index] = "collision"
@@ -862,9 +775,7 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
             raise
         if tracker is not None:
             tracker.record("sampling", True)
-        ok = contained_in_workspace(
-            scenario.workspace, concrete_objects, stats, kernel=self.kernel
-        )
+        ok = contained_in_workspace(scenario.workspace, concrete_objects, stats)
         if tracker is not None:
             tracker.record("containment", ok)
         if not ok:
@@ -926,7 +837,6 @@ class DirectFallbackSampler(DirectSampler):
             # rejection over the pruned scenario IS pruned-vectorized.
             self._delegate = VectorizedSampler(block_size=self.block_size)
             self._delegate.name = self.name  # record stats under our name
-            self._delegate.kernel = self.kernel
             self._delegate.bind(scenario)
 
     def sample(self, scenario, max_iterations, rng):
@@ -950,7 +860,6 @@ __all__ = [
     "BatchSampler",
     "DirectFallbackSampler",
     "DirectSampler",
-    "ParallelSampler",
     "VectorizedSampler",
     "STRATEGIES",
     "register_strategy",

@@ -23,10 +23,10 @@ Commands
     blocking response and to inline (workers=0) execution.
 ``bench``
     Measure request throughput (scenes/second, warm cache) and print a
-    small machine-readable JSON blob.  ``--check results/BENCH_7.json``
+    small machine-readable JSON blob.  ``--check results/BENCH.json``
     turns it into a CI gate: exit non-zero unless the measured throughput
-    clears ``--check-factor`` (default 10) times the BENCH_6 baseline
-    recorded in the committed results file.
+    clears the service floor (scenes/s) recorded in the committed results
+    file.
 ``generate``
     One-shot: compile a ``.scenic`` file (or ``-`` for stdin), sample ``-n``
     scenes, print the response JSON (``--stream``: NDJSON frames instead).
@@ -227,15 +227,11 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     source = _sample_sources()["two_cars"]
-    options = {} if args.backend is None else {"backend": args.backend}
-    async with GenerationService(workers=args.workers, fusion=args.fusion) as service:
-        await service.generate(
-            source, n=2, seed=0, max_iterations=20000, **options
-        )  # warm the workers (and any backend JIT)
+    async with GenerationService(workers=args.workers) as service:
+        await service.generate(source, n=2, seed=0, max_iterations=20000)  # warm the workers
         start = time.perf_counter()
         response = await service.generate(
-            source, n=args.scenes, seed=7, strategy=args.strategy,
-            max_iterations=20000, **options,
+            source, n=args.scenes, seed=7, strategy=args.strategy, max_iterations=20000,
         )
         wall = time.perf_counter() - start
     measured = len(response.scenes) / wall if wall else float("inf")
@@ -244,8 +240,6 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
         "wall_seconds": wall,
         "scenes_per_second": measured,
         "strategy": args.strategy,
-        "backend": args.backend,
-        "fusion": args.fusion,
         "workers": args.workers,
         "iterations": response.stats["iterations"],
         "candidates": response.stats.get("candidates", response.stats["iterations"]),
@@ -253,27 +247,21 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
     if response.stats.get("mean_importance_weight") is not None:
         result["mean_importance_weight"] = response.stats["mean_importance_weight"]
     if args.check is not None:
-        # Check mode (CI): the measured throughput must clear the committed
-        # BENCH_6-relative bound recorded in results/BENCH_7.json.  The
-        # bound is baseline-relative rather than absolute-machine-relative,
-        # so slower CI runners still pass as long as the rework's speedup
-        # holds.
+        # Check mode (CI): the measured throughput must clear the absolute
+        # service floor committed in the results file.
         committed = json.loads(Path(args.check).read_text())
         recorded = committed["benchmarks"]["service_throughput"]
-        baseline = recorded["bench6_scenes_per_second"]
-        required = args.check_factor * baseline
+        required = recorded["floor_scenes_per_second"]
         result["check"] = {
             "committed_scenes_per_second": recorded["scenes_per_second"],
-            "bench6_scenes_per_second": baseline,
             "required_scenes_per_second": required,
             "passed": measured >= required,
         }
         print(json.dumps(result, indent=1))
         if measured < required:
             print(
-                f"BENCH CHECK FAILURE: {measured:.1f} scenes/s < required "
-                f"{required:.1f} ({args.check_factor}x the BENCH_6 baseline "
-                f"{baseline} scenes/s)",
+                f"BENCH CHECK FAILURE: {measured:.1f} scenes/s < the service floor "
+                f"{required:.1f} scenes/s",
                 file=sys.stderr,
             )
             return 1
@@ -284,8 +272,7 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
 
 async def _cmd_generate(args: argparse.Namespace) -> int:
     source = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
-    options = {} if args.backend is None else {"backend": args.backend}
-    async with GenerationService(workers=args.workers, fusion=args.fusion) as service:
+    async with GenerationService(workers=args.workers) as service:
         if args.stream:
             async for frame in service.generate_stream(
                 source,
@@ -294,7 +281,6 @@ async def _cmd_generate(args: argparse.Namespace) -> int:
                 strategy=args.strategy,
                 max_iterations=args.max_iterations,
                 derive=args.derive,
-                **options,
             ):
                 print(json.dumps(frame), flush=True)
             return 0
@@ -305,7 +291,6 @@ async def _cmd_generate(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             max_iterations=args.max_iterations,
             derive=args.derive,
-            **options,
         )
     print(json.dumps(response.as_dict(), indent=1))
     return 0
@@ -355,16 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--strategy", default="vectorized")
     bench.add_argument("--check", default=None, metavar="BENCH_JSON",
                        help="check mode: exit non-zero unless measured throughput "
-                            "clears --check-factor x the BENCH_6 baseline recorded "
-                            "in this committed results file")
-    bench.add_argument("--check-factor", type=float, default=10.0,
-                       help="required multiple of the recorded BENCH_6 baseline")
-    bench.add_argument("--backend", default=None,
-                       help="geometry-kernel backend for the shards "
-                            "(numpy/numba/jax/auto; docs/backends.md)")
-    bench.add_argument("--fusion", action="store_true",
-                       help="coalesce concurrent shards' kernel calls "
-                            "(requires --workers 0)")
+                            "clears the service floor recorded in this committed "
+                            "results file")
 
     generate = sub.add_parser("generate", help="one-shot generation from a .scenic file")
     generate.add_argument("file", help="path to a .scenic program, or - for stdin")
@@ -376,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--workers", type=int, default=0)
     generate.add_argument("--stream", action="store_true",
                           help="print NDJSON stream frames as shards complete")
-    generate.add_argument("--backend", default=None,
-                          help="geometry-kernel backend for the shards "
-                               "(numpy/numba/jax/auto; docs/backends.md)")
-    generate.add_argument("--fusion", action="store_true",
-                          help="coalesce concurrent shards' kernel calls "
-                               "(requires --workers 0)")
     return parser
 
 

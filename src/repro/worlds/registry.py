@@ -9,11 +9,10 @@ fuzzer tuning, static-analysis hooks, evals-corpus metadata — so the
 fuzzer, analyzer and evals layers resolve everything through this registry
 instead of hardcoding per-world conditionals (see ``docs/worlds.md``).
 
-The API mirrors the geometry-backend registry
-(:mod:`repro.geometry.backends`): duplicate registrations raise unless
-``overwrite=True``, :func:`unregister_world` removes a profile (and its
-aliases), and :func:`registered_worlds` lists canonical names only unless
-asked to include aliases.  Name resolution is priority-free: every import
+Duplicate registrations raise unless ``overwrite=True``,
+:func:`unregister_world` removes a profile (and its aliases), and
+:func:`registered_worlds` lists canonical names only unless asked to
+include aliases.  Name resolution is priority-free: every import
 name (canonical or alias) maps to exactly one profile.
 """
 

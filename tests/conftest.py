@@ -16,40 +16,6 @@ def rng() -> random.Random:
     return random.Random(12345)
 
 
-def backend_params():
-    """Every *registered* geometry backend as a pytest param list.
-
-    Unavailable backends (numba/jax not installed) become skip-marked params,
-    so the differential suites show exactly which backends were exercised in
-    this environment rather than silently shrinking.
-    """
-    from repro.geometry import backends as geometry_backends
-
-    available = set(geometry_backends.available_backends())
-    return [
-        pytest.param(
-            name,
-            marks=[]
-            if name in available
-            else pytest.mark.skip(reason=f"backend {name!r} not installed"),
-        )
-        for name in geometry_backends.registered_backends()
-    ]
-
-
-@pytest.fixture(params=backend_params())
-def geometry_backend(request):
-    """Activate each registered backend in turn (skipping unavailable ones).
-
-    Yields the active :class:`~repro.geometry.backends.KernelBackend`
-    instance; the previous process-global backend is restored on teardown.
-    """
-    from repro.geometry import backends as geometry_backends
-
-    with geometry_backends.use_backend(request.param):
-        yield geometry_backends.active_backend()
-
-
 @pytest.fixture
 def unit_square() -> Polygon:
     return Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])

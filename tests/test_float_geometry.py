@@ -547,31 +547,37 @@ class TestCollisions:
         assert mismatches == []
 
     def test_float_route_matches_the_kernel_on_boxes_with_extent(self):
-        # A zero-width or zero-height box is where the two differ: its
-        # zero-length edges make the scalar containment test accept every
-        # point, so Object.intersects (and this route) reports a collision
-        # whenever the bounding boxes meet, where the kernel's separating-axis
-        # test looks at the segment itself.
+        # Boxes with extent, and layouts with zero-width and zero-height
+        # boxes: a zero-length edge is no boundary, so Object.intersects
+        # tests a flat box as the segment it is, as the kernel's
+        # separating-axis test does.
         rng = random.Random(20190623)
-        outcomes, mismatches = [], []
-        for _ in range(1500):
-            objects = _random_layout(rng, degenerate=False)
-            expected = no_pairwise_collisions(objects, GenerationStats())
-            outcomes.append(expected)
-            collidable = [not obj.allowCollisions for obj in objects]
-            pairs = kernel.pairwise_collisions(kernel.corners_array(objects), collidable)
-            if (len(pairs) == 0) != expected:
-                mismatches.append(objects)
-        assert sum(outcomes) > 300 and len(outcomes) - sum(outcomes) > 300
-        assert mismatches == []
+        for degenerate in (False, True):
+            outcomes, mismatches = [], []
+            for _ in range(1500):
+                objects = _random_layout(rng, degenerate=degenerate)
+                expected = no_pairwise_collisions(objects, GenerationStats())
+                outcomes.append(expected)
+                collidable = [not obj.allowCollisions for obj in objects]
+                pairs = kernel.pairwise_collisions(kernel.corners_array(objects), collidable)
+                if (len(pairs) == 0) != expected:
+                    mismatches.append(objects)
+            assert sum(outcomes) > 300 and len(outcomes) - sum(outcomes) > 300
+            assert mismatches == []
 
         segment = _make_object(0.0, 0.0, math.pi / 4, 2.0, 0.0)
         box = _make_object(0.9, -0.9, 0.0, 1.0, 1.0)  # boxes meet, shapes apart
         assert not len(kernel.pairwise_collisions(kernel.corners_array([segment, box])))
-        assert segment.intersects(box) and ref_intersects(segment, box)
-        # Sampling follows Object.intersects at every scene size now.
+        assert not segment.intersects(box) and not box.intersects(segment)
         far = [_make_object(50.0, 50.0, 0.0, 1.0, 1.0), _make_object(-50.0, 50.0, 0.0, 1.0, 1.0)]
-        assert not no_pairwise_collisions([segment, box] + far, GenerationStats())
+        assert no_pairwise_collisions([segment, box] + far, GenerationStats())
+        touching = _make_object(0.9, 0.0, 0.0, 1.0, 1.0)  # the segment crosses this box
+        assert len(kernel.pairwise_collisions(kernel.corners_array([segment, touching]))) == 1
+        assert segment.intersects(touching) and touching.intersects(segment)
+        dot = _make_object(5.0, 5.0, 0.3, 0.0, 0.0)  # a point object inside a box
+        around = _make_object(5.2, 4.9, 0.0, 1.0, 1.0)
+        assert len(kernel.pairwise_collisions(kernel.corners_array([dot, around]))) == 1
+        assert dot.intersects(around) and around.intersects(dot)
 
     def test_object_intersects_matches_per_pair(self):
         rng = random.Random(99)

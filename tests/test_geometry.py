@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.regions import PolygonalRegion
 from repro.core.vectors import Vector
+from repro.geometry import kernel
 from repro.geometry import polygon as polygon_module
 from repro.geometry.morphology import dilate_polygon, erode_polygon, minimum_width
 from repro.geometry.polygon import (
@@ -225,7 +226,6 @@ class TestContainmentEquivalence:
         polygons = [_random_polygon(rng) for _ in range(400)]
         polygons += [
             Polygon.rectangle((3.0, -2.0), 2.0, 4.5, heading=0.7),
-            Polygon([(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)]),  # zero-length edge
             Polygon([(0, 0), (1e-4, 0), (1e-4, 2e-4), (0, 2e-4)]),
         ]
         checked, mismatches = 0, []
@@ -240,12 +240,30 @@ class TestContainmentEquivalence:
         assert checked > 90_000
         assert mismatches == []
 
-    def test_zero_length_edge_accepts_everything_as_before(self):
-        # The reference treats every point as "on" a zero-length edge; the
-        # bounding-box reject must not hide that.
-        degenerate = Polygon([(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)])
-        assert _reference_point_in_polygon((50.0, -7.0), degenerate.vertices)
-        assert degenerate.contains_point((50.0, -7.0))
+    def test_zero_length_edge_adds_nothing(self):
+        # A repeated vertex is neither a boundary for other points nor a ray
+        # crossing: the polygon contains exactly what it contains without
+        # the repeat, in the scalar test and in the kernel alike.  (The
+        # Vector oracle above accepts every point on a zero-length edge.)
+        rng = random.Random(3)
+        cases = [
+            ([(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 1)]),
+            ([(0, 0), (0, 0), (2, 0), (2, 1), (0, 1), (0, 0)], [(0, 0), (2, 0), (2, 1), (0, 1)]),
+            ([(0, 0), (4, 0), (4, 4), (2, 4), (2, 4), (2, 1.5), (0, 1.5)],
+             [(0, 0), (4, 0), (4, 4), (2, 4), (2, 1.5), (0, 1.5)]),
+        ]
+        for ring, clean in cases:
+            degenerate, reference = Polygon(ring), Polygon(clean)
+            probes = _probe_points(reference, rng) + list(clean) + [(100.0, 100.0), (50.0, -7.0)]
+            expected = [reference.contains_point(point) for point in probes]
+            assert [degenerate.contains_point(point) for point in probes] == expected
+            assert [point_in_polygon(point, degenerate.vertices) for point in probes] == expected
+            vertices = np.array([(v.x, v.y) for v in degenerate.vertices])
+            assert kernel.points_in_polygon(vertices, np.array(probes)).tolist() == expected
+        square = Polygon([(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)])
+        assert not square.contains_point((100.0, 100.0))
+        assert not square.contains_point((50.0, -7.0))
+        assert square.contains_point((1.0, 1.0)) and square.contains_point((0.5, 0.5))
 
     def test_batch_agrees_with_scalar_on_gallery_workspaces(self):
         from repro.language import scenario_from_file

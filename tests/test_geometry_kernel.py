@@ -5,12 +5,9 @@ implementations: for every built-in Region subclass, ``contains_points_batch``
 must agree with ``contains_point`` point for point, and
 ``pairwise_collisions`` must reproduce the scalar double loop pair for pair.
 
-Since PR 9 the kernel dispatches to pluggable backends
-(:mod:`repro.geometry.backends`), so the equivalence classes are
-parametrized over every *registered* backend via the shared
-``geometry_backend`` fixture — numpy always runs; numba/jax run when
-installed and show as skips otherwise (the CI ``backends`` job installs
-numba and runs them for real).
+The differential checks have teeth: a kernel whose collision predicates are
+off by one ulp is flagged by fuzz oracle B on a scene with exactly touching
+objects (``TestPlantedUlpBiasedKernel``).
 """
 
 import math
@@ -19,6 +16,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.objects import Object
 from repro.core.regions import (
@@ -81,7 +80,6 @@ def seeded_points(seed, count=POINT_COUNT, span=8.0):
 
 
 class TestContainsPointsEquivalence:
-    @pytest.mark.usefixtures("geometry_backend")
     @pytest.mark.parametrize("name", sorted(region_fixtures()))
     def test_batch_matches_scalar_on_random_points(self, name):
         region = region_fixtures()[name]
@@ -154,7 +152,6 @@ def scalar_collision_pairs(objects):
     return pairs
 
 
-@pytest.mark.usefixtures("geometry_backend")
 class TestPairwiseCollisionEquivalence:
     @pytest.mark.parametrize("count", [2, 5, 12, 30])
     def test_matches_scalar_loop(self, count):
@@ -203,7 +200,34 @@ class TestPairwiseCollisionEquivalence:
             assert free[index] == (len(scalar_collision_pairs(objs)) == 0)
 
 
-@pytest.mark.usefixtures("geometry_backend")
+class TestPairwiseCollisionProperties:
+    """The same equivalences as Hypothesis properties over random seeds."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        object_count=st.integers(min_value=1, max_value=10),
+        scene_count=st.integers(min_value=1, max_value=8),
+    )
+    def test_batch_equals_pairwise_conjunction(self, seed, object_count, scene_count):
+        rng = random.Random(seed)
+        scenes = [random_objects(rng, object_count) for _ in range(scene_count)]
+        corners = np.stack([kernel.corners_array(objects) for objects in scenes])
+        free = kernel.batch_collision_free(corners)
+        expected = [len(kernel.pairwise_collisions(scene)) == 0 for scene in corners]
+        assert free.tolist() == expected
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        object_count=st.integers(min_value=2, max_value=12),
+    )
+    def test_pairwise_matches_scalar_double_loop(self, seed, object_count):
+        objects = random_objects(random.Random(seed), object_count)
+        pairs = [tuple(pair) for pair in kernel.pairwise_collisions(kernel.corners_array(objects))]
+        assert pairs == scalar_collision_pairs(objects)
+
+
 class TestObjectsContained:
     def test_matches_contains_object(self):
         region = PolygonalRegion([_concave_polygon()])
@@ -213,6 +237,13 @@ class TestObjectsContained:
         batch = kernel.objects_contained(region, corners)
         scalar = [region.contains_object(obj) for obj in objects]
         assert batch.tolist() == scalar
+
+    def test_circular_region_matches_contains_object(self):
+        region = CircularRegion((0.0, 0.0), 8.0)
+        objects = random_objects(random.Random(3), 40)
+        batch = kernel.objects_contained(region, kernel.corners_array(objects))
+        assert batch.tolist() == [region.contains_object(obj) for obj in objects]
+        assert 0 < batch.sum() < len(objects)  # both verdicts occur
 
     def test_empty(self):
         region = CircularRegion((0, 0), 1.0)
@@ -271,3 +302,93 @@ class TestSpatialGrid:
         assert 0 in assigned[0]  # the (0,0) square covers (0.5, 0.5)
         assert 15 in assigned[1]  # the (3,3) square covers (3.5, 3.5)
         assert 2 not in assigned  # far-away point got no candidates
+
+
+class TestOneKernel:
+    """The batched predicates all run through one instance of one class."""
+
+    def test_active_backend_is_the_kernel_instance(self):
+        from repro.geometry import backends
+
+        assert backends.active_backend() is kernel.KERNEL
+        assert kernel.KERNEL.name == "numpy"
+        methods = ("points_in_polygon", "objects_contained", "pairwise_collisions", "batch_collision_free")
+        assert all(method in vars(kernel.NumpyKernel) for method in methods)
+
+    def test_module_functions_call_the_class_methods(self, monkeypatch):
+        # A method wrapped on the class (as a profiler does) sees every call.
+        calls = []
+        original = kernel.NumpyKernel.pairwise_collisions
+
+        def recording(self, *args, **kwargs):
+            calls.append("pairwise")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel.NumpyKernel, "pairwise_collisions", recording)
+        kernel.pairwise_collisions(kernel.corners_array(random_objects(random.Random(2), 4)))
+        assert calls == ["pairwise"]
+
+
+def _ulp_biased(method):
+    """*method* with every corner pulled one ulp toward its quad's centroid.
+
+    Exactly touching quads stop touching, so any differential check with
+    boundary-contact cases must flag the biased kernel.
+    """
+
+    def biased(self, corners, *args, **kwargs):
+        corners = np.asarray(corners, dtype=float)
+        centroids = corners.mean(axis=-2, keepdims=True)
+        nudged = np.nextafter(corners, np.broadcast_to(centroids, corners.shape))
+        return method(self, nudged, *args, **kwargs)
+
+    return biased
+
+
+def _plant_ulp_bias(monkeypatch):
+    for name in ("pairwise_collisions", "batch_collision_free"):
+        monkeypatch.setattr(kernel.NumpyKernel, name, _ulp_biased(getattr(kernel.NumpyKernel, name)))
+
+
+def touching_scenario_and_scene():
+    """Two fixed 2x2 squares sharing the edge x = 1 (contact, zero overlap)."""
+    from repro.core import At, Facing, ScenarioBuilder, Vector
+    from repro.core import Object as BuilderObject
+
+    with ScenarioBuilder() as builder:
+        builder.set_ego(
+            BuilderObject(At(Vector(0, 0)), Facing(0.0), width=2.0, height=2.0, allowCollisions=True)
+        )
+        BuilderObject(At(Vector(2, 0)), Facing(0.0), width=2.0, height=2.0, allowCollisions=True)
+    scenario = builder.scenario()
+    return scenario, scenario.generate(seed=0)
+
+
+class TestPlantedUlpBiasedKernel:
+    def test_oracle_catches_the_planted_kernel_and_passes_the_real_one(self, monkeypatch):
+        from repro.fuzz.oracles import check_kernel_equivalence
+
+        scenario, scene = touching_scenario_and_scene()
+        # The scene really has boundary contact, the hardest case.
+        first, second = scene.objects
+        assert polygons_intersect(first.bounding_polygon, second.bounding_polygon)
+        assert check_kernel_equivalence(scenario, scene, seed=9) == []
+        _plant_ulp_bias(monkeypatch)
+        problems = check_kernel_equivalence(scenario, scene, seed=9)
+        assert any("pairwise_collisions" in problem for problem in problems), problems
+
+    def test_the_kernel_survives_the_touching_gauntlet(self):
+        from repro.fuzz.oracles import check_kernel_equivalence
+
+        scenario, scene = touching_scenario_and_scene()
+        assert check_kernel_equivalence(scenario, scene, seed=9) == []
+
+    def test_kernel_level_differential_catches_the_bias(self, monkeypatch):
+        a = np.array([[(0, 0), (1, 0), (1, 1), (0, 1)]], dtype=float)
+        b = np.array([[(1, 0), (2, 0), (2, 1), (1, 1)]], dtype=float)
+        corners = np.concatenate([a, b])
+        assert len(kernel.pairwise_collisions(corners)) == 1
+        assert kernel.batch_collision_free(corners[None]).tolist() == [False]
+        _plant_ulp_bias(monkeypatch)
+        assert len(kernel.pairwise_collisions(corners)) == 0  # the planted miss
+        assert kernel.batch_collision_free(corners[None]).tolist() == [True]

@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import backend_params
-
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "regen.py")
@@ -83,25 +81,15 @@ def test_golden_scene_matches(stem, strategy):
             )
 
 
-#: Strategies replayed by the per-backend corpus sweep: the pair whose RNG
-#: stream the kernel predicates sit directly inside, so any backend
-#: divergence surfaces as a scene change.
-BACKEND_REPLAY_STRATEGIES = ("rejection", "vectorized")
+#: Strategies replayed bit for bit: the pair whose RNG stream the kernel
+#: predicates sit directly inside, so any change to the geometry's
+#: arithmetic surfaces as a scene change.
+EXACT_REPLAY_STRATEGIES = ("rejection", "vectorized")
 
 
-def _compare_entry(stem, strategy, generated, golden, exact):
-    """Diff one generation against its golden; returns mismatch strings.
-
-    *exact* demands bit-identity (the numpy reference contract); otherwise
-    drift up to ``TOLERANCE`` is allowed (numba/jax reassociate arithmetic).
-    """
+def _compare_entry(stem, strategy, generated, golden):
+    """Diff one generation against its golden, bit for bit; returns mismatch strings."""
     problems = []
-
-    def check(label, got, expected):
-        bad = got != expected if exact else abs(got - expected) > TOLERANCE
-        if bad:
-            problems.append(f"{stem}/{strategy}: {label} = {got!r}, golden {expected!r}")
-
     if generated["ego_index"] != golden["ego_index"]:
         problems.append(f"{stem}/{strategy}: ego_index changed")
     if generated["iterations"] != golden["iterations"]:
@@ -110,40 +98,29 @@ def _compare_entry(stem, strategy, generated, golden, exact):
             f"vs golden {golden['iterations']} (acceptance pattern changed)"
         )
     for index, (got, expected) in enumerate(zip(generated["objects"], golden["objects"])):
-        for axis in (0, 1):
-            check(f"object {index} position[{axis}]", got["position"][axis],
-                  expected["position"][axis])
-        for key in ("heading", "width", "height"):
-            check(f"object {index} {key}", got[key], expected[key])
+        values = [(f"position[{axis}]", got["position"][axis], expected["position"][axis]) for axis in (0, 1)]
+        values += [(key, got[key], expected[key]) for key in ("heading", "width", "height")]
+        for label, value, recorded in values:
+            if value != recorded:
+                problems.append(
+                    f"{stem}/{strategy}: object {index} {label} = {value!r}, golden {recorded!r}"
+                )
     return problems
 
 
-@pytest.mark.parametrize("strategy", BACKEND_REPLAY_STRATEGIES)
-@pytest.mark.parametrize("backend_name", backend_params())
-def test_golden_corpus_replays_under_each_backend(backend_name, strategy):
-    """Replay the (fast) corpus with each registered backend active.
-
-    numpy must reproduce every golden **bit for bit** — it *is* the
-    reference that generated them.  Alternative backends (numba/jax, when
-    installed) may differ by float reassociation only: every scalar within
-    1e-9, same acceptance pattern, with one consolidated per-scenario
-    mismatch report when they do not.
-    """
-    from repro.geometry import backends as geometry_backends
-
-    exact = backend_name == "numpy"
+@pytest.mark.parametrize("strategy", EXACT_REPLAY_STRATEGIES)
+def test_golden_corpus_replays_bit_for_bit(strategy):
+    """Replay the (fast) corpus: the kernel and the scalar predicates
+    reproduce every golden exactly, with one consolidated mismatch report
+    when they do not."""
     mismatches = []
-    with geometry_backends.use_backend(backend_name):
-        for stem in scenario_stems():
-            if stem in SLOW_SCENARIOS:
-                continue
-            golden = json.loads(regen.golden_path(stem).read_text())["strategies"][strategy]
-            generated = regen.generate_entry(regen.SCENARIO_DIR / f"{stem}.scenic", strategy)
-            mismatches.extend(_compare_entry(stem, strategy, generated, golden, exact))
-    assert mismatches == [], (
-        f"backend {backend_name!r} diverged on {len(mismatches)} values:\n"
-        + "\n".join(mismatches[:20])
-    )
+    for stem in scenario_stems():
+        if stem in SLOW_SCENARIOS:
+            continue
+        golden = json.loads(regen.golden_path(stem).read_text())["strategies"][strategy]
+        generated = regen.generate_entry(regen.SCENARIO_DIR / f"{stem}.scenic", strategy)
+        mismatches.extend(_compare_entry(stem, strategy, generated, golden))
+    assert mismatches == [], f"{len(mismatches)} values diverged:\n" + "\n".join(mismatches[:20])
 
 
 PRUNED_STRATEGIES = ("pruning", "pruned-vectorized")

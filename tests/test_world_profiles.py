@@ -4,8 +4,7 @@ and the grep-level guarantee that no world name leaks outside ``worlds/``.
 Three layers:
 
 * registry hygiene — duplicate/reserved/collision registration errors,
-  ``unregister_world``, canonical-vs-alias listings (mirroring the
-  geometry-backend registry's contract);
+  ``unregister_world``, canonical-vs-alias listings;
 * Hypothesis properties — alias resolution round-trips, unknown worlds
   fall back to the ``inline`` bucket, and every registered fuzz profile
   carries a complete magnitude table;
