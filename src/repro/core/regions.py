@@ -317,6 +317,10 @@ class SectorRegion(Region):
 class RectangularRegion(Region):
     """A rectangle with arbitrary heading, given by centre, width and height."""
 
+    # Class-level fallback: instances unpickled from artifacts written before
+    # the containment frame was cached have no such key in their __dict__.
+    _frame = None
+
     def __init__(
         self,
         center: VectorLike,
@@ -332,6 +336,19 @@ class RectangularRegion(Region):
         self.width = float(width)
         self.height = float(height)
         self.polygon = Polygon.rectangle(self.center, self.width, self.height, self.heading)
+        self._local_frame()
+
+    def _local_frame(self) -> Tuple[float, float, float, float, float, float]:
+        """``(cx, cy, cos, sin, half_width, half_height)`` of the containment tests, cached."""
+        self._frame = frame = (
+            self.center.x,
+            self.center.y,
+            math.cos(-self.heading),
+            math.sin(-self.heading),
+            self.width / 2 + 1e-9,
+            self.height / 2 + 1e-9,
+        )
+        return frame
 
     def contains_point(self, point: VectorLike) -> bool:
         point = Vector.from_any(point)
@@ -339,25 +356,19 @@ class RectangularRegion(Region):
 
     def _contains_xy(self, x: float, y: float) -> bool:
         # (point - center).rotated_by(-heading), on floats.
-        dx = x - self.center.x
-        dy = y - self.center.y
-        cos_a, sin_a = math.cos(-self.heading), math.sin(-self.heading)
-        return (
-            abs(dx * cos_a - dy * sin_a) <= self.width / 2 + 1e-9
-            and abs(dx * sin_a + dy * cos_a) <= self.height / 2 + 1e-9
-        )
+        cx, cy, cos_a, sin_a, half_w, half_h = self._frame or self._local_frame()
+        dx = x - cx
+        dy = y - cy
+        return abs(dx * cos_a - dy * sin_a) <= half_w and abs(dx * sin_a + dy * cos_a) <= half_h
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
         pts = _kernel.as_points(points)
-        dx = pts[:, 0] - self.center.x
-        dy = pts[:, 1] - self.center.y
-        cos_h = math.cos(-self.heading)
-        sin_h = math.sin(-self.heading)
+        cx, cy, cos_h, sin_h, half_w, half_h = self._frame or self._local_frame()
+        dx = pts[:, 0] - cx
+        dy = pts[:, 1] - cy
         local_x = dx * cos_h - dy * sin_h
         local_y = dx * sin_h + dy * cos_h
-        return (np.abs(local_x) <= self.width / 2 + 1e-9) & (
-            np.abs(local_y) <= self.height / 2 + 1e-9
-        )
+        return (np.abs(local_x) <= half_w) & (np.abs(local_y) <= half_h)
 
     def uniform_point(self, rng):
         local = Vector(

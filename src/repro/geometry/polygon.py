@@ -165,15 +165,22 @@ def _float_vertices(vertices: Sequence[Vector]) -> Tuple[tuple, Tuple[float, flo
     return points, _bounds_xy(points)
 
 
-def _edge_table(vertices: Sequence[Vector]) -> Tuple[float, float, float, float, tuple]:
-    """The float table :func:`_contains` scans for a ring of :class:`Vector` vertices."""
-    return _edge_table_xy([(vertex.x, vertex.y) for vertex in vertices])
+#: An inner box keeps at least this distance, times ``max(1, M)`` for the
+#: piece's largest absolute coordinate ``M``, from every edge line.
+_INNER_MARGIN = 1e-6
+
+#: The inner box of a table that has none: no point is strictly inside it.
+_NO_INNER_BOX = (math.inf, math.inf, -math.inf, -math.inf)
 
 
-def _edge_table_xy(
-    points: Sequence[Tuple[float, float]],
-) -> Tuple[float, float, float, float, tuple]:
-    """The float table :func:`_contains` scans: a reject box plus one row per edge.
+def _edge_table(vertices: Sequence[Vector]) -> tuple:
+    """A :class:`Polygon`'s table: :func:`_edge_table_xy` plus the ring's :func:`_inner_box`."""
+    points = [(vertex.x, vertex.y) for vertex in vertices]
+    return _edge_table_xy(points, _inner_box(points))
+
+
+def _edge_table_xy(points: Sequence[Tuple[float, float]], inner: Tuple[float, ...] = _NO_INNER_BOX) -> tuple:
+    """The float table :func:`_contains` scans: a reject box, one row per edge, an inner box.
 
     Edge ``i`` joins ``a = points[i]`` to ``b = points[i - 1]``; its row is
     ``(ax, ay, bx, by, dx, dy, threshold, limit, ex, ey)`` with ``d = b - a``,
@@ -191,6 +198,10 @@ def _edge_table_xy(
     changes a verdict.  A zero-length edge (a repeated vertex) gets no row:
     it is neither on-edge for any other point nor a ray crossing, and the
     edges on either side of it already cover its vertex.
+
+    *inner* is ``(min_x, min_y, max_x, max_y)`` of a box whose strict
+    interior is inside the ring (see :func:`_inner_box`); tables built per
+    call, such as :func:`rings_intersect`'s, keep the empty default.
     """
     tolerance = _ON_EDGE_TOLERANCE
     rows = []
@@ -211,14 +222,91 @@ def _edge_table_xy(
         reach = max(reach, (threshold + tolerance) / length)
     min_x, min_y, max_x, max_y = _bounds_xy(points)
     margin = 2.0 * reach + 64.0 * math.ulp(max(-min_x, -min_y, max_x, max_y))
-    return (min_x - margin, min_y - margin, max_x + margin, max_y + margin, tuple(rows))
+    return (min_x - margin, min_y - margin, max_x + margin, max_y + margin, tuple(rows), *inner)
+
+
+def _inner_box(points: Sequence[Tuple[float, float]]) -> Tuple[float, float, float, float]:
+    """An axis-aligned box deep inside the anticlockwise convex ring *points*.
+
+    The ring's bounding box, scaled about the ring's centroid by the largest
+    ``s <= 1`` at which each of its four corners keeps a signed distance of
+    at least ``2 * _INNER_MARGIN * max(1, M)`` from every edge line (each
+    corner-edge pair bounds ``s`` linearly).  Half that margin covers every
+    rounding in this computation, so each point of the box is at least
+    ``_INNER_MARGIN * max(1, M)`` inside every edge line, hence inside the
+    ring.  That is far beyond both the on-edge tolerance and the few ulps of
+    ``M`` by which the ray-crossing abscissa can be off, so :func:`_contains`
+    answers ``True`` for it, and may do so without scanning the edges.
+
+    Rings that are not convex, or turn more than once, get
+    :data:`_NO_INNER_BOX`, as does a ring whose centroid is within the
+    margin of an edge.
+    """
+    edges = []
+    for i in range(len(points)):
+        ax, ay = points[i - 1]
+        bx, by = points[i]
+        if ax != bx or ay != by:
+            edges.append((ax, ay, bx - ax, by - ay))
+    min_x, min_y, max_x, max_y = _bounds_xy(points)
+    if len(edges) < 3 or not all(map(math.isfinite, (min_x, min_y, max_x, max_y))):
+        return _NO_INNER_BOX
+    # Convex and simple: every turn is to the left (or straight), and the
+    # turns add up to one full turn.
+    turning = 0.0
+    for (_ax, _ay, dx, dy), (_bx, _by, ex, ey) in zip(edges, edges[1:] + edges[:1]):
+        cross = dx * ey - dy * ex
+        if cross < 0.0:
+            return _NO_INNER_BOX
+        turning += math.atan2(cross, dx * ex + dy * ey)
+    if abs(turning - 2.0 * math.pi) > 1e-6:
+        return _NO_INNER_BOX
+    # The area centroid, relative to the first vertex against cancellation.
+    ox, oy = points[0]
+    twice_area = cx = cy = 0.0
+    for i in range(len(points)):
+        ax, ay = points[i - 1]
+        bx, by = points[i]
+        ax, ay, bx, by = ax - ox, ay - oy, bx - ox, by - oy
+        cross = ax * by - bx * ay
+        twice_area += cross
+        cx += (ax + bx) * cross
+        cy += (ay + by) * cross
+    if not twice_area > 0.0:
+        return _NO_INNER_BOX
+    cx = ox + cx / (3.0 * twice_area)
+    cy = oy + cy / (3.0 * twice_area)
+    margin = 2.0 * _INNER_MARGIN * max(1.0, -min_x, -min_y, max_x, max_y)
+    offsets = (
+        (min_x - cx, min_y - cy), (max_x - cx, min_y - cy), (max_x - cx, max_y - cy), (min_x - cx, max_y - cy),
+    )
+    scale = 1.0
+    for ax, ay, dx, dy in edges:
+        length = math.hypot(dx, dy)
+        # Signed distance from the edge line, positive inside: the centroid's
+        # slack, and the rate at which each corner of the scaled box eats it.
+        slack = (dx * (cy - ay) - dy * (cx - ax)) / length - margin
+        if not slack > 0.0:
+            return _NO_INNER_BOX
+        for offset_x, offset_y in offsets:
+            rate = (dx * offset_y - dy * offset_x) / length
+            if rate < 0.0:
+                scale = min(scale, slack / -rate)
+    return (
+        cx + scale * (min_x - cx),
+        cy + scale * (min_y - cy),
+        cx + scale * (max_x - cx),
+        cy + scale * (max_y - cy),
+    )
 
 
 def _contains(px: float, py: float, table: tuple) -> bool:
     """Ray-casting containment of ``(px, py)``; boundary points count as inside."""
-    min_x, min_y, max_x, max_y, rows = table
+    min_x, min_y, max_x, max_y, rows, in_min_x, in_min_y, in_max_x, in_max_y = table
     if px < min_x or px > max_x or py < min_y or py > max_y:
         return False
+    if in_min_x < px < in_max_x and in_min_y < py < in_max_y:
+        return True
     low = -_ON_EDGE_TOLERANCE
     inside = False
     for ax, ay, bx, by, dx, dy, threshold, limit, ex, ey in rows:
@@ -240,7 +328,7 @@ def point_in_polygon(point: VectorLike, vertices: Sequence[Vector]) -> bool:
     :meth:`Polygon.contains_point` in loops.
     """
     point = Vector.from_any(point)
-    return _contains(point.x, point.y, _edge_table(vertices))
+    return _contains(point.x, point.y, _edge_table_xy([(vertex.x, vertex.y) for vertex in vertices]))
 
 
 class Polygon:

@@ -18,16 +18,18 @@ batched strategies can
   :class:`~repro.core.distributions.Sample` to partially resample it.
 
 :class:`DrawPlan` compiles the same DAG, once per scenario, into a flat list
-of steps in the recursive ``concretize`` walk's order, so the per-candidate
-draw of the rejection, vectorized and direct strategies is one loop.
+of steps in the recursive ``concretize`` walk's order, and those steps into
+one generated straight-line Python function, so the per-candidate draw of
+the rejection, vectorized and direct strategies is one call.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from keyword import iskeyword
 from operator import is_
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 from ..core.distributions import (
     _CONCRETIZE_KINDS,
@@ -39,14 +41,20 @@ from ..core.distributions import (
     _MISSING,
     _TUPLE,
     Distribution,
+    FunctionDistribution,
+    OperatorDistribution,
+    Range,
     Sample,
+    VectorDistribution,
     _concretize_kind,
     concretize,
     is_constant,
     needs_sampling,
 )
+from ..core.errors import ScenicError
 from ..core.objects import Constructible, Object
 from ..core.scenario import Scenario
+from ..core.vectors import Vector
 
 
 def _closure_of(value: Any, nodes: Dict[int, Any], visited: Set[int]) -> None:
@@ -204,16 +212,16 @@ class DependencyGraph:
 # ---------------------------------------------------------------------------
 
 # Step opcodes.  A step is a flat tuple whose first item is its opcode and
-# whose second is the slot it writes.  One- and two-dependency draws have
-# their own opcodes (about 10% off a gallery draw).  The ``_CHECKED``
-# variants read the memo first; a plan uses them once a step it cannot see
-# into (an opaque or preset step) may already have drawn a node.
+# whose second is the slot it writes.  The ``_CHECKED`` variants read the
+# memo first; a plan uses them once a step it cannot see into (an opaque or
+# preset step) may already have drawn a node.
 (
-    _OP_DRAW1, _OP_DRAW2, _OP_DRAWN, _OP_DRAW_CHECKED, _OP_MAKE, _OP_MAKE_CHECKED,
+    _OP_DRAW, _OP_DRAW_CHECKED, _OP_MAKE, _OP_MAKE_CHECKED,
     _OP_PRESET, _OP_OPAQUE, _OP_TUPLE, _OP_LIST, _OP_DICT,
-) = range(11)
+) = range(9)
 
-#: Guards plan builds, so threads sharing a scenario build one plan.
+#: Guards plan builds and their compilation, so threads sharing a scenario
+#: build and compile one plan.
 _PLAN_LOCK = threading.Lock()
 
 
@@ -236,6 +244,10 @@ class DrawPlan:
     there.  Values :func:`concretize` would not resolve by the default
     ``Distribution.sample_in`` or ``Constructible._concretize`` become
     opaque steps calling ``concretize``.
+
+    The steps are the plan's description; the first :meth:`draw` turns them
+    into one straight-line Python function (:func:`_compile_draw`), which
+    replaces :meth:`draw` on the instance.
 
     Plans are cached on the scenario by :func:`draw_plan`, which rebuilds
     them when :meth:`is_current` fails.
@@ -314,20 +326,12 @@ class DrawPlan:
         # later steps must then check the memo for nodes that closure holds.
         if any(key not in self._node_slots for key in closure_nodes(node) if key != id(node)):
             self._checked = True
-        return self._node_step(node, (_OP_PRESET, self._slot(), node, id(node)))
+        return self._node_step(node, (_OP_PRESET, self._slot(), node))
 
     def _visit_distribution(self, node: Distribution) -> int:
         arguments = tuple(self._visit(dependency) for dependency in node._dependencies)
-        out = self._slot()
-        if self._checked:
-            step = (_OP_DRAW_CHECKED, out, node.sample_given, id(node), arguments)
-        elif len(arguments) == 1:
-            step = (_OP_DRAW1, out, node.sample_given, id(node), arguments[0])
-        elif len(arguments) == 2:
-            step = (_OP_DRAW2, out, node.sample_given, id(node), arguments[0], arguments[1])
-        else:
-            step = (_OP_DRAWN, out, node.sample_given, id(node), arguments)
-        return self._node_step(node, step)
+        opcode = _OP_DRAW_CHECKED if self._checked else _OP_DRAW
+        return self._node_step(node, (opcode, self._slot(), node, arguments))
 
     def _visit_constructible(self, node: Constructible) -> int:
         properties = node.properties
@@ -341,7 +345,7 @@ class DrawPlan:
         mutate = _may_mutate(node) or cls._apply_mutation not in _QUIET_MUTATIONS
         make = None if _makes_by_update(cls, properties) else cls._make
         opcode = _OP_MAKE_CHECKED if self._checked else _OP_MAKE
-        step = (opcode, self._slot(), node, id(node), cls, dict(properties), resolved, mutate, make)
+        step = (opcode, self._slot(), node, cls, dict(properties), resolved, mutate, make)
         return self._node_step(node, step)
 
     # -- use ----------------------------------------------------------------------
@@ -361,61 +365,18 @@ class DrawPlan:
         return len(shape) == len(self._scenario_shape) and all(map(is_, shape, self._scenario_shape))
 
     def draw(self, sample: Sample) -> Tuple[List[Any], Any, Dict[str, Any]]:
-        """Concretize one candidate: ``(objects, ego, params)``."""
-        slots = self._initial.copy()
-        values = sample._values
-        rng = sample.rng
-        sample._keep_alive.append(self._steps)
-        for step in self._steps:
-            op = step[0]
-            if op == _OP_DRAW1:
-                slots[step[1]] = values[step[3]] = step[2]([slots[step[4]]], rng)
-            elif op == _OP_DRAW2:
-                slots[step[1]] = values[step[3]] = step[2]([slots[step[4]], slots[step[5]]], rng)
-            elif op == _OP_MAKE or op == _OP_MAKE_CHECKED:
-                _, out, node, key, cls, properties, resolved, mutate, make = step
-                if op == _OP_MAKE_CHECKED:
-                    concrete = values.get(key, _MISSING)
-                    if concrete is not _MISSING:
-                        slots[out] = concrete
-                        continue
-                properties = properties.copy()
-                for name, index in resolved:
-                    properties[name] = slots[index]
-                if make is None:  # Constructible._make, inlined
-                    concrete = cls.__new__(cls)
-                    concrete.properties = properties
-                    concrete.__dict__.update(properties)
-                    concrete._registered = False
-                else:
-                    concrete = make(**properties)
-                concrete._source_object = node
-                slots[out] = values[key] = concrete
-                if mutate:
-                    concrete._apply_mutation(sample)
-            elif op == _OP_DRAWN:
-                slots[step[1]] = values[step[3]] = step[2]([slots[i] for i in step[4]], rng)
-            elif op == _OP_TUPLE:
-                slots[step[1]] = tuple([slots[i] for i in step[2]])
-            elif op == _OP_LIST:
-                slots[step[1]] = [slots[i] for i in step[2]]
-            elif op == _OP_DICT:
-                slots[step[1]] = {key: slots[i] for key, i in zip(step[2], step[3])}
-            elif op == _OP_DRAW_CHECKED:
-                value = values.get(step[3], _MISSING)
-                if value is _MISSING:
-                    value = values[step[3]] = step[2]([slots[i] for i in step[4]], rng)
-                slots[step[1]] = value
-            elif op == _OP_PRESET:
-                value = values.get(step[3], _MISSING)
-                slots[step[1]] = value if value is not _MISSING else concretize(step[2], sample)
-            else:  # _OP_OPAQUE
-                slots[step[1]] = concretize(step[2], sample)
-        return (
-            [slots[i] for i in self._object_slots],
-            slots[self._ego_slot],
-            slots[self._params_slot],
-        )
+        """Concretize one candidate: ``(objects, ego, params)``.
+
+        The first call compiles the plan and stores the compiled function
+        as this instance's ``draw``, so later calls go straight to it.
+        """
+        with _PLAN_LOCK:
+            function = vars(self).get("draw")
+            if function is None:
+                function = self.draw = _compile_draw(
+                    self._steps, self._initial, self._object_slots, self._ego_slot, self._params_slot
+                )
+        return function(sample)
 
     def __reduce__(self):
         raise TypeError("a DrawPlan is keyed by object ids and cannot be pickled or copied")
@@ -439,6 +400,197 @@ def _scenario_shape(scenario: Scenario) -> tuple:
     """What a plan reads from the scenario itself: objects, ego and params."""
     params = scenario.params
     return (*scenario.objects, scenario.ego, *params, *params.values())
+
+
+# ---------------------------------------------------------------------------
+# Code generation
+# ---------------------------------------------------------------------------
+
+#: Python operators for the ``OperatorDistribution`` operator names, as
+#: ``(arity, template)``; each computes what its ``_BINARY_OPERATIONS`` or
+#: ``_UNARY_OPERATIONS`` entry computes.
+_OPERATORS = {
+    **{name: (2, "{0} %s {1}" % name) for name in (
+        "+", "-", "*", "/", "//", "%", "**", "==", "!=", "<", ">", "<=", ">=", "and", "or",
+    )},
+    "getitem": (2, "{0}[{1}]"),
+    "neg": (1, "-{0}"),
+    "abs": (1, "abs({0})"),
+    "not": (1, "not {0}"),
+}
+
+
+def _empty_interval(low: Any, high: Any) -> None:
+    """``Range.sample_given``'s error for ``low > high``."""
+    raise ScenicError(f"uniform interval ({low}, {high}) is empty")
+
+
+def _inline_range(source: "_DrawSource", node: Range, arguments: Sequence[int]):
+    low, high = map(source.name, arguments)
+    return [f"if {low} > {high}: {source.ref(_empty_interval)}({low}, {high})"], f"rng.uniform({low}, {high})"
+
+
+def _inline_vector(source: "_DrawSource", node: VectorDistribution, arguments: Sequence[int]):
+    x, y = map(source.name, arguments)
+    return [], f"{source.ref(Vector)}({x}, {y})"
+
+
+def _inline_operator(source: "_DrawSource", node: OperatorDistribution, arguments: Sequence[int]):
+    arity, template = _OPERATORS.get(node.operator, (None, ""))
+    if arity is None or len(arguments) < arity:
+        return None  # the generic call raises as the walk does
+    return [], template.format(*map(source.name, arguments))
+
+
+def _inline_function(source: "_DrawSource", node: FunctionDistribution, arguments: Sequence[int]):
+    args, kwargs = arguments
+    spread = source.spread(args, "*") + source.spread(kwargs, "**")
+    return [], f"{source.ref(node.function)}({', '.join(spread)})"
+
+
+#: ``sample_given`` implementations the generated draw writes out inline,
+#: each mapped to the function that emits ``(statements, expression)`` for
+#: a node's value (or ``None`` to keep the generic call).
+_INLINE_DRAWS = {
+    Range.sample_given: _inline_range,
+    VectorDistribution.sample_given: _inline_vector,
+    OperatorDistribution.sample_given: _inline_operator,
+    FunctionDistribution.sample_given: _inline_function,
+}
+
+
+class _DrawSource:
+    """The Python source of one plan's draw, and the objects it refers to."""
+
+    def __init__(self, steps: Sequence[tuple], initial: Sequence[Any]):
+        self.initial = initial
+        self.written = {step[1]: step for step in steps}
+        self.bound: List[Any] = []
+        self.refs: Dict[int, str] = {}
+        self.spread_slots: Set[int] = set()
+
+    def ref(self, value: Any) -> str:
+        """The name the generated code reads *value* by (a closure variable)."""
+        name = self.refs.get(id(value))
+        if name is None:
+            name = self.refs[id(value)] = f"k{len(self.bound)}"
+            self.bound.append(value)
+        return name
+
+    def name(self, index: int) -> str:
+        return f"v{index}" if index in self.written else self.ref(self.initial[index])
+
+    def key(self, key: Any) -> str:
+        return repr(key) if type(key) is str else self.ref(key)
+
+    def spread(self, index: int, star: str) -> List[str]:
+        """Call arguments for ``*slot`` (*star* ``"*"``) or ``**slot`` (``"**"``).
+
+        A container step's slot has exactly one reader, the value whose visit
+        made it, so a tuple, or a dict of identifier keys, is written into the
+        call in place and the container is never built.
+        """
+        step = self.written.get(index)
+        op = step[0] if step is not None else None
+        if star == "*" and op == _OP_TUPLE:
+            arguments = [self.name(item) for item in step[2]]
+        elif star == "**" and op == _OP_DICT and all(
+            type(key) is str and key.isidentifier() and not iskeyword(key) for key in step[2]
+        ):
+            arguments = [f"{key}={self.name(item)}" for key, item in zip(step[2], step[3])]
+        else:
+            return [f"{star}{self.name(index)}"]
+        self.spread_slots.add(index)
+        return arguments
+
+    def draw(self, out: int, node: Distribution, arguments: Sequence[int]) -> List[str]:
+        """Statements that draw *node* into ``v{out}`` and its memo entry."""
+        inline = _INLINE_DRAWS.get(type(node).sample_given)
+        emitted = inline(self, node, arguments) if inline is not None else None
+        if emitted is None:
+            call = ", ".join(map(self.name, arguments))
+            emitted = [], f"{self.ref(node.sample_given)}([{call}], rng)"
+        statements, expression = emitted
+        return [*statements, f"v{out} = values[{id(node)}] = {expression}"]
+
+    def make(self, step: tuple) -> List[str]:
+        _, out, node, cls, properties, resolved, mutate, make = step
+        fields = "".join(f", {self.key(name)}: {self.name(index)}" for name, index in resolved)
+        lines = [f"p = {{**{self.ref(properties)}{fields}}}"]
+        if make is None:  # Constructible._make, inlined
+            c = self.ref(cls)
+            lines.append(f"o = {c}.__new__({c}); o.properties = p")
+            lines.append("o.__dict__.update(p); o._registered = False")
+        else:
+            lines.append(f"o = {self.ref(make)}(**p)")
+        lines.append(f"o._source_object = {self.ref(node)}; v{out} = values[{id(node)}] = o")
+        if mutate:
+            lines.append("o._apply_mutation(sample)")
+        return lines
+
+    def block(self, step: tuple) -> List[str]:
+        """The statements of one step."""
+        op, out = step[0], step[1]
+        if op in (_OP_DRAW_CHECKED, _OP_MAKE_CHECKED, _OP_PRESET):
+            missing = self.ref(_MISSING)
+            if op == _OP_PRESET:
+                inner = [f"v{out} = {self.ref(concretize)}({self.ref(step[2])}, sample)"]
+            else:
+                inner = self.draw(out, step[2], step[3]) if op == _OP_DRAW_CHECKED else self.make(step)
+            return [
+                f"v{out} = values.get({id(step[2])}, {missing})",
+                f"if v{out} is {missing}:",
+                *(" " + line for line in inner),
+            ]
+        if op == _OP_DRAW:
+            return self.draw(out, step[2], step[3])
+        if op == _OP_MAKE:
+            return self.make(step)
+        if op == _OP_OPAQUE:
+            return [f"v{out} = {self.ref(concretize)}({self.ref(step[2])}, sample)"]
+        if op == _OP_TUPLE:
+            return [f"v{out} = ({''.join(self.name(i) + ', ' for i in step[2])})"]
+        if op == _OP_LIST:
+            return [f"v{out} = [{', '.join(map(self.name, step[2]))}]"]
+        pairs = ", ".join(f"{self.key(key)}: {self.name(i)}" for key, i in zip(step[2], step[3]))
+        return [f"v{out} = {{{pairs}}}"]  # _OP_DICT
+
+
+def _compile_draw(
+    steps: Sequence[tuple],
+    initial: Sequence[Any],
+    object_slots: Sequence[int],
+    ego_slot: int,
+    params_slot: int,
+) -> Callable[[Sample], Tuple[List[Any], Any, Dict[str, Any]]]:
+    """Compile plan steps into one straight-line function ``draw(sample)``.
+
+    Each step becomes a statement or two in step order, writing slot ``i``
+    to the local ``v{i}``; constants and the nodes, classes and functions
+    the steps call are closure variables.  The function makes the walk's
+    RNG calls in the walk's order, writes the same memo entries, and raises
+    where the walk raises.  The source is dropped once compiled.
+    """
+    source = _DrawSource(steps, initial)
+    blocks = [(step[1], source.block(step)) for step in steps]
+    objects = "".join(source.name(index) + ", " for index in object_slots)
+    lines = [
+        "values = sample._values",
+        "rng = sample.rng",
+        f"sample._keep_alive.append({source.ref(steps)})",
+        # A container spread into a call is never built.
+        *(line for out, block in blocks if out not in source.spread_slots for line in block),
+        f"return [{objects}], {source.name(ego_slot)}, {source.name(params_slot)}",
+    ]
+    text = "\n".join([
+        f"def make({', '.join(f'k{i}' for i in range(len(source.bound)))}):",
+        " def draw(sample):",
+        *("  " + line for line in lines),
+        " return draw",
+    ])
+    namespace: Dict[str, Any] = {}
+    exec(compile(text, "<draw plan>", "exec"), namespace)
+    return namespace.pop("make")(*source.bound)
 
 
 def draw_plan(scenario: Scenario, preset: frozenset = frozenset()) -> DrawPlan:

@@ -5,12 +5,14 @@
 in the rejection, vectorized and direct strategies.  These tests hold it to
 the walk draw for draw: the same objects, ego and params, the same memo
 (keys and values) and the same RNG state afterwards, also when a draw
-raises mid-plan.  They also pin the plan's lifecycle: rebuilt after pruning
+raises mid-plan, for every ``sample_given`` the generated draw writes out
+inline.  They also pin the plan's lifecycle: rebuilt after pruning
 and after a source object's property is reassigned, never carried by a
 pickle or a copy, and built once when threads share a scenario.
 """
 
 import copy
+import linecache
 import pickle
 import random
 import threading
@@ -22,8 +24,11 @@ import pytest
 from repro.core.distributions import (
     Distribution,
     FunctionDistribution,
+    Normal,
+    OperatorDistribution,
     Range,
     Sample,
+    VectorDistribution,
     concretize,
 )
 from repro.core.errors import RejectSample, ScenicError
@@ -288,6 +293,112 @@ def test_make_fills_the_instance_dict_in_property_order():
 def test_make_still_rejects_a_read_only_class_property():
     with pytest.raises(AttributeError):
         Object._make(position=Vector(0, 0), heading=0.0, width=1.0, height=1.0, corners=[])
+
+
+# ---------------------------------------------------------------------------
+# The generated draw
+# ---------------------------------------------------------------------------
+
+
+def _weighted(a, b=0.0, *, scale=1.0, **extra):
+    return (a + b) * scale + sum(extra.values())
+
+
+def _specialised_scenario():
+    """Every inlined ``sample_given``, and a param that raises mid-plan."""
+    a, b, c = Range(0, 1), Range(1, 2), Range(-1, 1)
+    with ScenarioBuilder() as builder:
+        builder.set_ego(Object(position=VectorDistribution(Range(-5, 5), c), width=b))
+        Object(position=VectorDistribution(a * 10, 5), heading=-c, height=abs(c) + 1)
+        operators = {
+            name: OperatorDistribution(name, a, b)
+            for name in ("+", "-", "*", "/", "//", "%", "**", "==", "!=", "<", ">", "<=", ">=", "and", "or")
+        }
+        operators.update(
+            getitem=VectorDistribution(a, c)[1], neg=-a, abs=abs(c), negated=OperatorDistribution("not", c),
+            constant_left=2 - a, normal=Normal(a, b),
+        )
+        for name, value in operators.items():
+            builder.param(name, value)
+        builder.param("positional", FunctionDistribution(max, (a, c, 0.25)))
+        builder.param("keywords", FunctionDistribution(_weighted, (a,), {"b": b, "scale": c}))
+        builder.param("constant_args", FunctionDistribution(_weighted, (1.0, 2.0), {"scale": a}))
+        odd_keys = {"not an identifier": b, "lambda": c}
+        builder.param("odd_keys", FunctionDistribution(_weighted, (a,), odd_keys))
+        builder.param("shared", FunctionDistribution(_weighted, (a, b)) * 2)
+        builder.param("interval", Range(a, Range(0, 1)))  # empty about half the time
+        builder.param("after", Range(0, 1))
+    return builder.scenario()
+
+
+def test_specialised_draws_equal_the_walk():
+    scenario = _specialised_scenario()
+    raised = 0
+    walk_rng, plan_rng = random.Random(9), random.Random(9)
+    for _ in range(60):
+        expected = outcome(lambda s, sample: walk(s, sample), scenario, walk_rng)
+        actual = outcome(lambda s, sample: draw_plan(s).draw(sample), scenario, plan_rng)
+        assert actual == expected
+        raised += expected[0][0] == "ScenicError"
+    assert 10 < raised < 50  # both outcomes were exercised
+
+
+def test_specialised_nodes_are_written_out_and_the_rest_called():
+    scenario = _specialised_scenario()
+    plan = draw_plan(scenario)
+    plan.draw(Sample(random.Random(0)))
+    function = vars(plan)["draw"]
+    bound = [cell.cell_contents for cell in function.__closure__]
+    called = {item.__func__ for item in bound if hasattr(item, "__func__")}
+    assert Normal.sample_given in called
+    inlined = {Range.sample_given, VectorDistribution.sample_given, OperatorDistribution.sample_given,
+               FunctionDistribution.sample_given}
+    assert not called & inlined
+    # The functions themselves are called directly, with no argument tuple.
+    assert max in bound and _weighted in bound
+
+
+def test_an_unknown_operator_raises_as_the_walk_does():
+    with ScenarioBuilder() as builder:
+        builder.set_ego(Object(position=Vector(0, 0)))
+        builder.param("odd", OperatorDistribution("@@", Range(0, 1), 2))
+    scenario = builder.scenario()
+    with pytest.raises(KeyError):
+        walk(scenario, Sample(random.Random(0)))
+    with pytest.raises(KeyError):
+        draw_plan(scenario).draw(Sample(random.Random(0)))
+
+
+def test_the_draw_is_generated_once_at_the_first_draw(monkeypatch):
+    scenario = scenario_from_file(SCENARIOS / "mars_bottleneck.scenic")
+    compiled = []
+    original = dependency._compile_draw
+
+    def slow_compile(*args):
+        compiled.append(args)
+        time.sleep(0.05)  # widen the race window
+        return original(*args)
+
+    monkeypatch.setattr(dependency, "_compile_draw", slow_compile)
+    plan = draw_plan(scenario)
+    assert compiled == []  # building a plan generates no code
+    barrier = threading.Barrier(8)
+    results = []
+
+    def worker(index):
+        barrier.wait()
+        results.append(plan.draw(Sample(random.Random(index))))
+
+    threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(compiled) == 1 and len(results) == 8
+    assert vars(plan)["draw"].__code__.co_filename == "<draw plan>"
+    # The source is neither kept on the plan nor registered for tracebacks.
+    assert not any(isinstance(value, str) for value in vars(plan).values())
+    assert "<draw plan>" not in linecache.cache
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,37 @@ def ref_segments_intersect(p1, p2, q1, q2):
     return False
 
 
+def ref_point_on_segment(point, a, b, tolerance=1e-9):
+    cross = (b.x - a.x) * (point.y - a.y) - (b.y - a.y) * (point.x - a.x)
+    if abs(cross) > tolerance * max(1.0, a.distance_to(b)):
+        return False
+    dot = (point.x - a.x) * (b.x - a.x) + (point.y - a.y) * (b.y - a.y)
+    return -tolerance <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + tolerance
+
+
+def ref_contains_point(polygon, point):
+    """``Polygon.contains_point``'s Vector loop, with the zero-length-edge fix.
+
+    A repeated vertex is no boundary: its zero-length edge is skipped (it is
+    never a ray crossing either), as the float edge table skips it.
+    """
+    point = Vector.from_any(point)
+    vertices = polygon.vertices
+    count = len(vertices)
+    inside = False
+    j = count - 1
+    for i in range(count):
+        vi, vj = vertices[i], vertices[j]
+        if vi != vj and ref_point_on_segment(point, vi, vj):
+            return True
+        if (vi.y > point.y) != (vj.y > point.y):
+            slope_x = vj.x + (point.y - vj.y) * (vi.x - vj.x) / (vi.y - vj.y)
+            if point.x < slope_x:
+                inside = not inside
+        j = i
+    return inside
+
+
 def ref_polygons_intersect(p, q):
     if not BoundingBox.of_points(p.vertices).intersects(BoundingBox.of_points(q.vertices)):
         return False
@@ -98,7 +129,7 @@ def ref_polygons_intersect(p, q):
         for b1, b2 in q.edges():
             if ref_segments_intersect(a1, a2, b1, b2):
                 return True
-    return p.contains_point(q.vertices[0]) or q.contains_point(p.vertices[0])
+    return ref_contains_point(p, q.vertices[0]) or ref_contains_point(q, p.vertices[0])
 
 
 def ref_clip_polygon(subject, clip):
@@ -157,7 +188,7 @@ def ref_point_segment_distance(point, a, b):
 
 def ref_distance_to_point(polygon, point):
     point = Vector.from_any(point)
-    if polygon.contains_point(point):
+    if ref_contains_point(polygon, point):
         return 0.0
     return min(ref_point_segment_distance(point, a, b) for a, b in polygon.edges())
 
@@ -796,6 +827,161 @@ def test_pruned_regions_of_every_corpus_program_are_unchanged():
 # ---------------------------------------------------------------------------
 # Caches
 # ---------------------------------------------------------------------------
+
+
+def _world_pieces():
+    """Every polygon the worlds test points against: workspace, region and
+    vector-field pieces, named ``world:symbol[index]``."""
+    from repro.core.regions import RectangularRegion
+    from repro.worlds.registry import load_world, registered_worlds
+
+    pieces = {}
+    for world in registered_worlds():
+        namespace, workspace = load_world(world)
+        sources = dict(namespace or {})
+        if workspace is not None:
+            sources["workspace"] = workspace.region
+        for symbol, value in sources.items():
+            if isinstance(value, PolygonalRegion):
+                polygons = value.polygons
+            elif isinstance(value, RectangularRegion):
+                polygons = [value.polygon]
+            elif isinstance(value, PolygonalVectorField):
+                polygons = [polygon for polygon, _heading in value.cells]
+            else:
+                continue
+            for index, polygon in enumerate(polygons):
+                pieces.setdefault(id(polygon), (f"{world}:{symbol}[{index}]", polygon))
+    return list(pieces.values())
+
+
+def _random_convex_polygons(rng, count):
+    """Convex hulls and rotated rectangles: tiny to large, near and far from the origin."""
+    polygons = []
+    for _ in range(count):
+        scale = rng.choice([1e-3, 1.0, 50.0, 2000.0])
+        cx, cy = rng.choice([0.0, 1.0, -3e3, 1e4]), rng.choice([0.0, -1.0, 5e3])
+        if rng.random() < 0.5:
+            count = rng.randint(3, 12)
+            points = [(cx + scale * rng.gauss(0, 1), cy + scale * rng.gauss(0, 1)) for _ in range(count)]
+            polygons.append(convex_hull(points))
+        else:
+            width, height = scale * rng.uniform(0.01, 1.0), scale * rng.uniform(0.01, 1.0)
+            heading = rng.uniform(-math.pi, math.pi)
+            polygons.append(Polygon.rectangle((cx, cy), width, height, heading=heading))
+    return polygons
+
+
+def _nudges(x, y):
+    """``(x, y)`` and its one-ulp neighbours along each axis."""
+    return [
+        (x, y),
+        (math.nextafter(x, math.inf), y), (math.nextafter(x, -math.inf), y),
+        (x, math.nextafter(y, math.inf)), (x, math.nextafter(y, -math.inf)),
+    ]
+
+
+def _inner_box_probes(polygon, rng):
+    """Random points, the inner box's corners and edges, the polygon's
+    vertices and edges, each with its one-ulp nudges."""
+    min_x, min_y, max_x, max_y = polygon.bounds()
+    pad_x, pad_y = 0.1 * (max_x - min_x) + 1e-9, 0.1 * (max_y - min_y) + 1e-9
+    probes = [
+        (rng.uniform(min_x - pad_x, max_x + pad_x), rng.uniform(min_y - pad_y, max_y + pad_y))
+        for _ in range(100)
+    ]
+    edges = [(a.x, a.y, b.x, b.y) for a, b in polygon.edges()]
+    in_min_x, in_min_y, in_max_x, in_max_y = polygon.edge_table()[5:]
+    if in_min_x < in_max_x:
+        corners = [(in_min_x, in_min_y), (in_max_x, in_min_y), (in_max_x, in_max_y), (in_min_x, in_max_y)]
+        edges += [(*corners[i - 1], *corners[i]) for i in range(4)]
+    for ax, ay, bx, by in edges:
+        for t in (0.0, 0.5, rng.random()):
+            for x, y in _nudges(ax + (bx - ax) * t, ay + (by - ay) * t):
+                probes.append((x, y))
+    return probes
+
+
+class TestInnerBox:
+    """A convex piece's edge table carries an inner box whose strict interior
+    ``_contains`` accepts without scanning the edges.  It must never change a
+    verdict: every probe must agree with the Vector loop."""
+
+    @staticmethod
+    def _mismatches(polygons, rng):
+        checked, inner_hits, mismatches = 0, 0, []
+        for polygon in polygons:
+            table = polygon.edge_table()
+            in_min_x, in_min_y, in_max_x, in_max_y = table[5:]
+            for x, y in _inner_box_probes(polygon, rng):
+                expected = ref_contains_point(polygon, Vector(x, y))
+                checked += 1
+                inner_hits += in_min_x < x < in_max_x and in_min_y < y < in_max_y
+                if polygon_module._contains(x, y, table) != expected:
+                    mismatches.append((polygon, (x, y)))
+        return checked, inner_hits, mismatches
+
+    def test_world_pieces_agree_with_the_vector_loop(self):
+        pieces = _world_pieces()
+        convex = [polygon for _name, polygon in pieces if polygon.is_convex()]
+        assert len(pieces) > 150 and len(convex) > 150
+        empty = [name for name, polygon in pieces
+                 if polygon.is_convex() and polygon.edge_table()[5:] == polygon_module._NO_INNER_BOX]
+        assert empty == []
+        checked, inner_hits, mismatches = self._mismatches(convex, random.Random(16))
+        assert checked > 35_000 and inner_hits > 10_000
+        assert mismatches == []
+
+    def test_random_convex_pieces_agree_with_the_vector_loop(self):
+        rng = random.Random(20261018)
+        polygons = _random_convex_polygons(rng, 300)
+        checked, inner_hits, mismatches = self._mismatches(polygons, rng)
+        assert checked > 60_000 and inner_hits > 5_000
+        assert mismatches == []
+
+    def test_the_box_keeps_its_margin_from_every_edge(self):
+        rng = random.Random(5)
+        for polygon in _random_convex_polygons(rng, 200) + [p for _n, p in _world_pieces()]:
+            box = polygon.edge_table()[5:]
+            if box == polygon_module._NO_INNER_BOX:
+                continue
+            min_x, min_y, max_x, max_y = polygon.bounds()
+            margin = polygon_module._INNER_MARGIN * max(1.0, -min_x, -min_y, max_x, max_y)
+            in_min_x, in_min_y, in_max_x, in_max_y = box
+            corners = ((in_min_x, in_min_y), (in_max_x, in_min_y), (in_max_x, in_max_y), (in_min_x, in_max_y))
+            for x, y in corners:
+                for a, b in polygon.edges():
+                    distance = ((b.x - a.x) * (y - a.y) - (b.y - a.y) * (x - a.x)) / a.distance_to(b)
+                    assert distance >= margin, (polygon, (x, y))
+
+    def test_non_convex_pieces_and_per_call_tables_get_no_box(self, monkeypatch):
+        rng = random.Random(11)
+        concave = [Polygon([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)])]
+        concave += [Polygon(ring) for ring in (_random_ring(rng) for _ in range(300))]
+        concave = [polygon for polygon in concave if not polygon.is_convex()]
+        assert len(concave) > 50
+        for polygon in concave:
+            assert polygon.edge_table()[5:] == polygon_module._NO_INNER_BOX
+        # A star that turns twice: every turn is to the left, yet its centre
+        # is outside under the even-odd rule.
+        star = Polygon([(math.cos(t * 4 * math.pi / 5), math.sin(t * 4 * math.pi / 5)) for t in range(5)])
+        assert star.edge_table()[5:] == polygon_module._NO_INNER_BOX
+        assert not star.contains_point((0.0, 0.0))
+        # Collision pairs and point_in_polygon build their tables per call.
+        tables = []
+        contains = polygon_module._contains
+
+        def recording(x, y, table):
+            tables.append(table)
+            return contains(x, y, table)
+
+        monkeypatch.setattr(polygon_module, "_contains", recording)
+        square = object_footprint(_make_object(0.0, 0.0, 0.0, 4.0, 4.0))
+        inside = object_footprint(_make_object(0.5, 0.0, 0.3, 1.0, 1.0))
+        assert polygon_module.rings_intersect(*square, *inside)
+        assert polygon_module.point_in_polygon((0.0, 0.0), Polygon(square[0]).vertices)
+        assert len(tables) >= 2
+        assert all(table[5:] == polygon_module._NO_INNER_BOX for table in tables)
 
 
 class TestPolygonFloatCaches:

@@ -151,29 +151,45 @@ class TestOracles:
         assert report.verdict == "fail"
         assert "ValueError: boom" in report.failures[0].detail
 
+    SWAP_SOURCE = (
+        "ego = Object at (-5, 5) @ (-5, 5)\n"
+        "Object at (20, 30) @ (20, 30), with requireVisible False\n"
+    )
+
     def test_reference_walk_flags_a_plan_that_swaps_two_draws(self, monkeypatch):
-        """The oracle's recursive-walk draw cross-checks the compiled plan."""
+        """The oracle's recursive-walk draw cross-checks the generated draw."""
         from repro.sampling import dependency
 
-        source = (
-            "ego = Object at (-5, 5) @ (-5, 5)\n"
-            "Object at (20, 30) @ (20, 30), with requireVisible False\n"
-        )
-        clean = run_oracles(source, seed=3, max_iterations=50, strategies=["rejection"])
+        clean = run_oracles(self.SWAP_SOURCE, seed=3, max_iterations=50, strategies=["rejection"])
         assert clean.verdict == "pass", [str(f) for f in clean.failures]
 
-        original_init = dependency.DrawPlan.__init__
+        original_compile = dependency._compile_draw
 
-        def swapped_init(self, scenario, preset=frozenset()):
-            original_init(self, scenario, preset)
-            steps = list(self._steps)
+        def swapped_compile(steps, *layout):
+            steps = list(steps)
             # The first two steps are the ego's independent x and y draws.
-            assert steps[0][0] == steps[1][0] == dependency._OP_DRAW2
+            assert steps[0][0] == steps[1][0] == dependency._OP_DRAW
             steps[0], steps[1] = steps[1], steps[0]
-            self._steps = tuple(steps)
+            return original_compile(tuple(steps), *layout)
 
-        monkeypatch.setattr(dependency.DrawPlan, "__init__", swapped_init)
-        report = run_oracles(source, seed=3, max_iterations=50, strategies=["rejection"])
+        monkeypatch.setattr(dependency, "_compile_draw", swapped_compile)
+        report = run_oracles(self.SWAP_SOURCE, seed=3, max_iterations=50, strategies=["rejection"])
+        assert report.verdict == "fail"
+        assert [failure.oracle for failure in report.failures] == ["draw-plan"]
+
+    def test_reference_walk_flags_an_inline_range_with_swapped_bounds(self, monkeypatch):
+        """A wrong specialisation is caught too: ``uniform(high, low)`` draws
+        the same random number as ``uniform(low, high)``, mirrored."""
+        from repro.core.distributions import Range
+        from repro.sampling import dependency
+
+        def swapped_bounds(source, node, arguments):
+            statements, _expression = dependency._inline_range(source, node, arguments)
+            low, high = map(source.name, arguments)
+            return statements, f"rng.uniform({high}, {low})"
+
+        monkeypatch.setitem(dependency._INLINE_DRAWS, Range.sample_given, swapped_bounds)
+        report = run_oracles(self.SWAP_SOURCE, seed=3, max_iterations=50, strategies=["rejection"])
         assert report.verdict == "fail"
         assert [failure.oracle for failure in report.failures] == ["draw-plan"]
 

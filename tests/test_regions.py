@@ -91,6 +91,19 @@ class TestBasicRegions:
             for point in probes:
                 assert region.contains_point(point) == reference(region, point)
 
+    def test_rectangular_region_pickled_before_the_frame_cache_builds_it(self, rng):
+        region = RectangularRegion((3.5, -2.0), 0.7, 4.0, 2.5)
+        probes = [region.uniform_point(rng).to_tuple() for _ in range(20)] + [(30.0, 30.0), (3.5, 0.0)]
+        expected = [region.contains_point(point) for point in probes]
+        assert True in expected and False in expected
+        state = {name: value for name, value in vars(region).items() if name != "_frame"}
+        older = RectangularRegion.__new__(RectangularRegion)
+        older.__dict__.update(state)
+        assert older._frame is None
+        assert [older.contains_point(point) for point in probes] == expected
+        assert older._frame == region._frame
+        assert older.contains_points_batch(probes).tolist() == expected
+
     def test_point_set_region(self, rng):
         region = PointSetRegion([(0, 0), (1, 1), (2, 2)])
         assert region.contains_point((1, 1))
